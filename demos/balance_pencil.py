@@ -50,7 +50,7 @@ print(f"  spread after scaling: {norm_spread(apply_scaling(P, res1)):.3e}")
 
 res2 = scale_approach2(P.L1, P.L0, alpha=0.01, tol=1e-12)
 print(f"\napproach 2 (alpha=0.01): converged={res2.converged} in "
-      f"{res2.iterations} iterations")
+      f"{res2.iterations} Newton steps")
 print(f"  spread after scaling: {norm_spread(apply_scaling(P, res2)):.3e}")
 
 q2 = quantize_pow2(res2)

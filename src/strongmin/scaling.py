@@ -4,13 +4,18 @@ Approach 1 balances the row and column sums of ``M = |A|^2 + |B|^2``
 (entrywise) by alternating scalings under separate determinant constraints
 on the left and right diagonals; it is cheap but may diverge when ``M`` has
 zero entries in an unfortunate pattern.  Approach 2 embeds ``M`` in a
-bordered symmetric matrix with strictly positive diagonal blocks and runs
-Sinkhorn-Knopp on it; the bordered matrix is fully indecomposable whenever
-``M != 0``, so the scaling exists, is unique, and is bounded.
+bordered symmetric matrix with strictly positive diagonal blocks and
+balances it to a doubly stochastic matrix; the bordered matrix is fully
+indecomposable whenever ``M != 0``, so the scaling exists, is unique, and is
+bounded.  The balancing is the symmetric Newton iteration of Knight & Ruiz
+("A fast algorithm for matrix balancing", IMA J. Numer. Anal. 33, 2013),
+kept under the name :func:`sinkhorn_knopp`; its iteration count is the
+number of Newton steps.
 """
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -59,10 +64,6 @@ class ScalingResult:
     objective_history: list = field(repr=False, default_factory=list)
 
 
-def default_convergence_tol() -> float:
-    return 1e-10
-
-
 def default_max_iter(m: int, n: int, tol: float) -> int:
     return 10 * (m + n) * math.ceil(-math.log10(tol))
 
@@ -88,18 +89,31 @@ def build_M_alpha(M, alpha: float, m: int, n: int) -> np.ndarray:
     return np.vstack([top, bot])
 
 
-def sinkhorn_knopp(
-    S,
-    tol: float = 1e-10,
-    max_iter: int = 10000,
-    d_row_init=None,
-    d_col_init=None,
-):
-    """Alternating row/column normalization toward a doubly stochastic matrix.
+# Knight-Ruiz bnewt constants: inner-solve forcing term and the bounds that
+# keep each Newton update factor, and so the scaling, positive.
+_KR_G = 0.9
+_KR_ETAMAX = 0.1
+_KR_DELTA_LO = 0.1
+_KR_DELTA_HI = 3.0
 
-    Returns ``(d_row, d_col, iterations, converged)`` such that
-    ``diag(d_row) S diag(d_col)`` has all row and column sums within ``tol``
-    of 1 when ``converged`` is True.  Raises on a zero row or column.
+
+def sinkhorn_knopp(S, tol: float = 1e-10, max_iter: int = 10000, x0=None):
+    """Symmetric balancing toward a doubly stochastic matrix.
+
+    Finds a positive ``x`` such that ``diag(x) S diag(x)`` has all row and
+    column sums equal to 1, by the Newton iteration of Knight & Ruiz ("A
+    fast algorithm for matrix balancing", IMA J. Numer. Anal. 33, 2013,
+    algorithm ``bnewt``).  Each Newton step solves its linear system by
+    conjugate gradients to a forcing-term accuracy, and the step is cut
+    back so that every update factor stays in ``[0.1, 3]``, which keeps
+    ``x`` positive.
+
+    Returns ``(d_row, d_col, iterations, converged)``: both scalings are
+    ``x``, ``iterations`` counts Newton steps, and ``converged`` is True
+    when every row and column sum is within ``tol`` of 1.  ``x0`` is the
+    positive starting vector (all ones by default).  Raises on a matrix
+    that is not square, nonnegative and symmetric, or has a zero row or
+    column.
     """
     S = np.asarray(S, dtype=float)
     k = S.shape[0]
@@ -109,22 +123,65 @@ def sinkhorn_knopp(
         raise ValueError("matrix must be nonnegative")
     if np.any(S.sum(axis=1) == 0) or np.any(S.sum(axis=0) == 0):
         raise ValueError("zero row/column")
-    d_row = np.ones(k) if d_row_init is None else np.asarray(d_row_init, float).copy()
-    d_col = np.ones(k) if d_col_init is None else np.asarray(d_col_init, float).copy()
-    converged = False
+    if not np.array_equal(S, S.T):
+        raise ValueError("matrix must be symmetric")
+    x = np.ones(k) if x0 is None else np.asarray(x0, float).copy()
+    v = x * (S @ x)
+    rk = 1.0 - v
+    rout = rold = float(rk @ rk)
+    rt = tol**2
+    eta = _KR_ETAMAX
+    dev = float(np.max(np.abs(rk)))
     it = 0
-    for it in range(1, max_iter + 1):
-        d_row = 1.0 / (S @ d_col)
-        d_col = 1.0 / (S.T @ d_row)
-        scaled = (d_row[:, None] * S) * d_col[None, :]
-        dev = max(
-            np.max(np.abs(scaled.sum(axis=1) - 1.0)),
-            np.max(np.abs(scaled.sum(axis=0) - 1.0)),
-        )
+    # A start that meets tol, an exact solution (residual 0) included, takes
+    # no step; below, the forcing-term update divides by the residual.
+    while dev > tol and it < max_iter:
+        it += 1
+        # Conjugate gradients, preconditioned by diag(v), on the Newton
+        # system for the update factor y (x <- x * y).
+        y = np.ones(k)
+        innertol = max(eta**2 * rout, rt)
+        rho = rout
+        inner = 0
+        while rho > innertol:
+            inner += 1
+            if inner == 1:
+                z = rk / v
+                p = z
+                rho = float(rk @ z)
+            else:
+                p = z + (rho / rho_prev) * p
+            w = x * (S @ (x * p)) + v * p
+            alpha = rho / float(p @ w)
+            ap = alpha * p
+            ynew = y + ap
+            if ynew.min() <= _KR_DELTA_LO:
+                ind = ap < 0
+                y = y + np.min((_KR_DELTA_LO - y[ind]) / ap[ind]) * ap
+                break
+            if ynew.max() >= _KR_DELTA_HI:
+                ind = ynew >= _KR_DELTA_HI
+                y = y + np.min((_KR_DELTA_HI - y[ind]) / ap[ind]) * ap
+                break
+            y = ynew
+            rk = rk - alpha * w
+            rho_prev = rho
+            z = rk / v
+            rho = float(rk @ z)
+        x = x * y
+        v = x * (S @ x)
+        rk = 1.0 - v
+        rout = float(rk @ rk)
+        dev = float(np.max(np.abs(rk)))
         if dev <= tol:
-            converged = True
             break
-    return d_row, d_col, it, converged
+        eta_prev = eta
+        eta = _KR_G * rout / rold
+        rold = rout
+        if _KR_G * eta_prev**2 > 0.1:
+            eta = max(eta, _KR_G * eta_prev**2)
+        eta = max(min(eta, _KR_ETAMAX), 0.5 * tol / math.sqrt(rout))
+    return x, x.copy(), it, dev <= tol
 
 
 def _row_col_deviation(M2, gl, gr):
@@ -257,17 +314,19 @@ def scale_approach2(
     max_iter: Optional[int] = None,
     init=None,
 ) -> ScalingResult:
-    """Regularized scaling through Sinkhorn-Knopp on the bordered matrix.
+    """Regularized scaling through symmetric balancing of the bordered matrix.
 
     The bordered matrix built by :func:`build_M_alpha` is symmetric and
     fully indecomposable whenever ``M != 0``, so the doubly stochastic
-    scaling exists, is unique, and is symmetric; the left/right squared
+    scaling exists, is unique, and is symmetric; :func:`sinkhorn_knopp`
+    computes it by Newton steps.  The left/right squared
     diagonals are its first m and last n entries, rescaled so that
     ``det(D_left^2) det(D_right^2) = c``.  The solution minimizes
     ``2(|D_l A D_r|_F^2 + |D_l B D_r|_F^2)
     + alpha^2 (|D_l^2|_F^4 / m^2 + |D_r^2|_F^4 / n^2)`` under that
     constraint.  ``init`` optionally seeds the iteration with a pair of
     positive vectors (squared-diagonal variables) for uniqueness tests.
+    ``iterations`` in the result counts Newton steps.
     """
     if alpha <= 0 or c <= 0:
         raise ValueError("alpha and c must be positive")
@@ -276,21 +335,13 @@ def scale_approach2(
     if max_iter is None:
         max_iter = default_max_iter(m, n, tol)
     S = build_M_alpha(M, alpha, m, n)
-    d_row_init = d_col_init = None
+    x0 = None
     if init is not None:
         left0, right0 = init
-        v = np.concatenate([np.asarray(left0, float), np.asarray(right0, float)])
-        if np.any(v <= 0):
+        x0 = np.concatenate([np.asarray(left0, float), np.asarray(right0, float)])
+        if np.any(x0 <= 0):
             raise ValueError("initial scalings must be positive")
-        d_row_init = v.copy()
-        d_col_init = v.copy()
-    d_row, d_col, it, converged = sinkhorn_knopp(
-        S, tol=tol, max_iter=max_iter, d_row_init=d_row_init, d_col_init=d_col_init
-    )
-    # The doubly stochastic scaling of a symmetric fully indecomposable
-    # matrix is symmetric; the row/column pair can differ by a scalar only,
-    # removed by the entrywise geometric mean.
-    d_sq = np.sqrt(d_row * d_col)
+    d_sq, _, it, converged = sinkhorn_knopp(S, tol=tol, max_iter=max_iter, x0=x0)
     k_det = float(np.prod(d_sq))
     d_sq = d_sq * (c / k_det) ** (1.0 / (m + n))
     dl2, dr2 = d_sq[:m], d_sq[m:]
@@ -423,7 +474,8 @@ def scaled_quadruple(
     the weight on equalization, and the variable scaling is off because its
     norm-ratio heuristic is easily hijacked by a few huge polynomial
     coefficients, crushing the structural identity entries of a system
-    pencil below the noise floor of the rest.
+    pencil below the noise floor of the rest.  A balancing that stops
+    unconverged issues the ``RuntimeWarning`` of :func:`balance_pencil`.
     """
     from .pencil import Pencil as _P
     from .pencil import SystemQuadruple, system_pencil
@@ -460,7 +512,8 @@ def balance_pencil(
     First applies the power-of-2 variable scaling equalizing the coefficient
     norms, then the requested diagonal scaling of the coefficient pair, and
     finally the row/column post-normalization.  Returns
-    ``(scaled_pencil, result)``.
+    ``(scaled_pencil, result)``.  Issues a ``RuntimeWarning`` with the
+    iteration count and the residual when the balancing stops unconverged.
     """
     from .pencil import default_lambda_scale, lambda_scale
 
@@ -472,6 +525,13 @@ def balance_pencil(
         result = scale_approach2(P1.L1, P1.L0, alpha, c, tol, max_iter)
     else:
         raise ValueError("approach must be 1 or 2")
+    if not result.converged:
+        warnings.warn(
+            f"approach-{approach} balancing stopped unconverged after "
+            f"{result.iterations} iterations, residual {result.residual:.2e}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     result.d_lambda = d_lam
     if pow2:
         result = quantize_pow2(result)

@@ -4,6 +4,7 @@ One test per acceptance criterion, each printing a PASS line with its
 measured margin.  Tolerances are fixed here and nowhere else.
 """
 import time
+import warnings
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -399,7 +400,10 @@ class TestCriterion9:
             vals_raw = generalized_eigenvalues(S_eq, seed=seed)
             err_raw = max(matched_errors(roots, vals_raw))
 
-            q_s, d_lam, _, _ = scaled_quadruple(q)
+            # The balancing must converge: its warning is an error here.
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                q_s, d_lam, _, _ = scaled_quadruple(q)
             q_min, _, _, records = strongly_minimal_reduce(q_s, seed=seed)
             vals = list(generalized_eigenvalues(system_pencil(q_min), seed=seed))
             for rec in records:

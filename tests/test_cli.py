@@ -16,6 +16,7 @@ from strongmin.gallery import (
     lambda_and_inverse_system,
     random_state_space,
 )
+from test_acceptance import random_e5_e1
 
 
 def write_system(tmp_path, q, name="sys.json"):
@@ -205,6 +206,17 @@ class TestScaleCommand:
         doc = json.loads(capsys.readouterr().out)
         norms = doc["row_norms"] + doc["col_norms"]
         assert max(norms) / min(norms) < 1e4
+
+    def test_chain_converges_at_default_cap(self, tmp_path, capsys):
+        # Criterion-9 chain: badly scaled, yet balanced within the cap.
+        rng = np.random.default_rng(9000)
+        e5, e1, _ = random_e5_e1(rng, big_root=1e5, normalize=True)
+        path = write_system(tmp_path, example_polynomial_system(e5, e1))
+        rc = main(["scale", path, "--approach", "2", "--alpha", "0.01"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["converged"] is True
+        assert doc["residual"] <= 1e-10
 
     def test_pow2_flag(self, tmp_path, capsys):
         q = random_state_space(6, d=2, m=1, n=1)

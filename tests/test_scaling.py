@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from strongmin.pencil import Pencil, generalized_eigenvalues
+from strongmin.gallery import example_polynomial_system
+from strongmin.pencil import Pencil, generalized_eigenvalues, system_pencil
 from strongmin.scaling import (
     ScalingDivergence,
     apply_scaling,
@@ -13,6 +14,7 @@ from strongmin.scaling import (
     scale_approach2,
     sinkhorn_knopp,
 )
+from test_acceptance import random_e5_e1
 
 
 class TestBuildM:
@@ -56,8 +58,10 @@ class TestSinkhornKnopp:
         assert d_row[0] * 2.0 * d_col[0] == pytest.approx(1.0)
 
     def test_identity(self):
-        d_row, d_col, _, conv = sinkhorn_knopp(np.eye(2))
+        # Already doubly stochastic: no Newton step is taken.
+        d_row, d_col, it, conv = sinkhorn_knopp(np.eye(2))
         assert conv
+        assert it == 0
         assert np.allclose(d_row * d_col, 1.0)
 
     def test_uniform(self):
@@ -68,6 +72,46 @@ class TestSinkhornKnopp:
     def test_zero_row_rejected(self):
         with pytest.raises(ValueError, match="zero row/column"):
             sinkhorn_knopp(np.array([[0.0, 0.0], [1.0, 1.0]]))
+
+    def test_nonsymmetric_rejected(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            sinkhorn_knopp(np.array([[1.0, 2.0], [1.0, 1.0]]))
+
+    def test_start_vector(self):
+        S = build_M_alpha(np.array([[1.0, 2.0]]), 1.0, 1, 2)
+        x, _, _, conv = sinkhorn_knopp(S, tol=1e-13)
+        _, _, it, conv_y = sinkhorn_knopp(S, tol=1e-13, x0=x)
+        assert conv and conv_y
+        assert it == 0
+        z, _, _, conv_z = sinkhorn_knopp(S, tol=1e-13, x0=[5.0, 0.1, 2.0])
+        assert conv_z
+        assert np.allclose(z, x, rtol=1e-12)
+
+
+def _chain_pencil(seed):
+    """Criterion-9 system pencil: degree-5 chain with a root near 1e5."""
+    rng = np.random.default_rng(seed)
+    e5, e1, _ = random_e5_e1(rng, big_root=1e5, normalize=True)
+    return system_pencil(example_polynomial_system(e5, e1))
+
+
+class TestChainPencilBalancing:
+    @pytest.mark.parametrize("seed", range(9000, 9020))
+    def test_newton_converges_in_few_steps(self, seed):
+        _, res = balance_pencil(
+            _chain_pencil(seed), approach=2, alpha=1e-2, pow2=True,
+            use_lambda_scale=False,
+        )
+        assert res.converged
+        assert res.iterations <= 50
+
+    def test_unconverged_warns(self):
+        with pytest.warns(RuntimeWarning, match="after 2 iterations, residual"):
+            _, res = balance_pencil(
+                _chain_pencil(9000), approach=2, alpha=1e-2, pow2=True,
+                use_lambda_scale=False, max_iter=2,
+            )
+        assert not res.converged
 
 
 class TestApproach1:
