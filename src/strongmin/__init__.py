@@ -20,7 +20,6 @@ from .pencil import (
     RotationError,
     SingularPencilError,
     SystemQuadruple,
-    block_pencil,
     choose_rotation,
     constant_pencil,
     default_lambda_scale,
@@ -28,6 +27,7 @@ from .pencil import (
     hstack_pencils,
     lambda_scale,
     mobius_rotate,
+    normal_rank,
     quadruple_from_constants,
     state_space_quadruple,
     system_pencil,

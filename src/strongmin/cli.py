@@ -170,35 +170,28 @@ def cmd_structure(args) -> int:
         return EXIT_ERROR
     tol, seed = args.tol, args.seed
     try:
-        mini = is_strongly_minimal(q, tol, seed)
-        reduction = None
-        work = q
-        if not mini.strongly_minimal:
-            if args.no_reduce:
-                print("error: not strongly minimal (reduction disabled)",
-                      file=sys.stderr)
-                return EXIT_ERROR
-            work, _, _, records = strongly_minimal_reduce(q, tol, seed)
-            reduction = {
-                "total_deflated": int(sum(r.d_deflated for r in records)),
-                "passes": [
-                    {"side": r.side, "deflated": int(r.d_deflated)}
-                    for r in records
-                ],
-            }
         structure = rational_structure(
-            work, tol, seed, assume_strongly_minimal=True
+            q, tol, seed, reduce_first=not args.no_reduce
         )
     except _COMPUTE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    records = structure.reduction
+    reduction = None
+    if records is not None:
+        reduction = {
+            "total_deflated": int(sum(r.d_deflated for r in records)),
+            "passes": [
+                {"side": r.side, "deflated": int(r.d_deflated)} for r in records
+            ],
+        }
     ok = degree_sum_check(structure)
     doc = {
         "version": __version__,
         "input_digest": file_digest(args.input),
         "tol": tol,
         "seed": seed,
-        "minimality": _minimality_to_dict(mini),
+        "minimality": _minimality_to_dict(structure.minimality),
         "reduction": reduction,
         "structure": _structure_to_dict(structure),
         "degree_sum_ok": ok,

@@ -1,13 +1,14 @@
 """Dense complex-matrix primitives with explicit rank tolerances.
 
 Every rank decision made by this package flows through the helpers in this
-module so that a single thresholding convention is used everywhere:
-a singular value counts toward the rank when it exceeds
+module, and all of them apply the one rule in ``_rank_rule``: a singular
+value counts toward the rank when it exceeds
 
-    tol * max(m, n) * sigma_max.
+    max(tol * max(m, n) * sigma_max, floor).
 
 The default relative tolerance is ``DEFAULT_TOL = 1e-12`` and every public
-operation accepts an override.
+operation accepts an override; ``floor`` (default 0) lets the staircases
+floor sub-block thresholds at the scale of the whole pencil.
 """
 from __future__ import annotations
 
@@ -41,6 +42,23 @@ class RankDecision:
     singular_values: np.ndarray = field(repr=False)
 
 
+def _rank_rule(s: np.ndarray, shape, tol: float, floor: float = 0.0):
+    """The package rank rule: ``(rank, threshold)`` from the singular
+    values ``s`` (largest first) of a nonempty matrix of the given shape."""
+    thr = max(tol * max(shape) * float(s[0]), floor)
+    return int(np.count_nonzero(s > thr)), thr
+
+
+def _svd_decision(M, tol: float, floor: float):
+    """Full SVD of a nonempty matrix with its rank decision."""
+    A = as_complex_matrix(M)
+    if A.size == 0:
+        raise ValueError("empty matrix")
+    U, s, Vh = np.linalg.svd(A)
+    rank, thr = _rank_rule(s, A.shape, tol, floor)
+    return U, s, Vh.conj().T, RankDecision(rank, thr, s)
+
+
 def rank_revealing(M, tol: float = DEFAULT_TOL):
     """Rank-revealing SVD of a nonempty complex matrix.
 
@@ -48,13 +66,7 @@ def rank_revealing(M, tol: float = DEFAULT_TOL):
     with ``M = left_unitary @ diag(s) @ right_unitary.conj().T`` and the
     rank decided by the ``tol * max(m, n) * sigma_max`` threshold.
     """
-    A = as_complex_matrix(M)
-    if A.size == 0:
-        raise ValueError("empty matrix")
-    U, s, Vh = np.linalg.svd(A)
-    thr = tol * max(A.shape) * (float(s[0]) if s.size else 0.0)
-    rank = int(np.count_nonzero(s > thr))
-    return U, s, Vh.conj().T, RankDecision(rank, thr, s)
+    return _svd_decision(M, tol, 0.0)
 
 
 def matrix_rank(M, tol: float = DEFAULT_TOL, floor: float = 0.0) -> int:
@@ -67,14 +79,7 @@ def matrix_rank(M, tol: float = DEFAULT_TOL, floor: float = 0.0) -> int:
     if A.size == 0:
         return 0
     s = np.linalg.svd(A, compute_uv=False)
-    thr = max(tol * max(A.shape) * float(s[0]), floor)
-    return int(np.count_nonzero(s > thr))
-
-
-def nullity(M, tol: float = DEFAULT_TOL) -> int:
-    """Dimension of the right null space at the package threshold."""
-    A = as_complex_matrix(M)
-    return A.shape[1] - matrix_rank(A, tol)
+    return _rank_rule(s, A.shape, tol, floor)[0]
 
 
 def rank_with_gap(M, tol: float = DEFAULT_TOL, floor: float = 0.0):
@@ -90,8 +95,7 @@ def rank_with_gap(M, tol: float = DEFAULT_TOL, floor: float = 0.0):
     if A.size == 0:
         return 0, False
     s = np.linalg.svd(A, compute_uv=False)
-    thr = max(tol * max(A.shape) * float(s[0]), floor)
-    rank = int(np.count_nonzero(s > thr))
+    rank, _ = _rank_rule(s, A.shape, tol, floor)
     ambiguous = False
     if 0 < rank < s.size:
         above, below = float(s[rank - 1]), float(s[rank])
@@ -100,33 +104,24 @@ def rank_with_gap(M, tol: float = DEFAULT_TOL, floor: float = 0.0):
     return rank, ambiguous
 
 
-def row_compress(M, tol: float = DEFAULT_TOL):
+def row_compress(M, tol: float = DEFAULT_TOL, floor: float = 0.0):
     """Unitary U with ``U @ M`` having its first r rows of full row rank.
 
     The remaining rows have norm below the rank threshold; ``r`` is the
-    numerical rank of ``M``.
+    numerical rank of ``M``, with the threshold floored at ``floor`` as in
+    :func:`matrix_rank`.
     """
-    A = as_complex_matrix(M)
-    if A.size == 0:
-        raise ValueError("empty matrix")
-    U, _, _, dec = rank_revealing(A, tol)
+    U, _, _, dec = _svd_decision(M, tol, floor)
     return U.conj().T, dec.rank
 
 
-def col_compress(M, tol: float = DEFAULT_TOL, side: str = "right-zeros"):
-    """Unitary V compressing the columns of ``M``.
+def col_compress(M, tol: float = DEFAULT_TOL, floor: float = 0.0):
+    """Unitary V with ``M @ V = [M' | 0]``, ``M'`` of full column rank r.
 
-    With ``side='right-zeros'``: ``M @ V = [M' | 0]`` where ``M'`` has full
-    column rank r; with ``side='left-zeros'`` the zero block comes first.
+    ``r`` is the numerical rank of ``M``, with the threshold floored at
+    ``floor`` as in :func:`matrix_rank`.
     """
-    A = as_complex_matrix(M)
-    if A.size == 0:
-        raise ValueError("empty matrix")
-    if side not in ("right-zeros", "left-zeros"):
-        raise ValueError(f"unknown side {side!r}")
-    _, _, V, dec = rank_revealing(A, tol)
-    if side == "left-zeros":
-        V = V[:, ::-1]
+    _, _, V, dec = _svd_decision(M, tol, floor)
     return V, dec.rank
 
 

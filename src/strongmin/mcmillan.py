@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import DEFAULT_TOL
+from .minreal import MinimalityReport, is_strongly_minimal, strongly_minimal_reduce
 from .pencil import Pencil, SystemQuadruple, system_pencil
 from .staircase import infinity_mcmillan_indices, kronecker_structure
 
@@ -38,6 +39,10 @@ class McMillanStructure:
     The polar degree counts poles (negative indices, in absolute value),
     the zero degree counts zeros, both including infinity, and the McMillan
     degree equals the polar degree.
+
+    ``minimality`` (the input's ``MinimalityReport``, unless assumed) and
+    ``reduction`` (the ``ReductionRecord`` list, if one ran) are kept out
+    of comparisons.
     """
 
     normal_rank: int
@@ -47,6 +52,10 @@ class McMillanStructure:
     left_minimal: tuple
     polar_degree: int = field(init=False)
     zero_degree: int = field(init=False)
+    minimality: MinimalityReport | None = field(
+        default=None, compare=False, repr=False
+    )
+    reduction: list | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         pol = 0
@@ -132,8 +141,7 @@ def rational_structure(
     function by constant invertible factors, which leaves every structural
     index unchanged) and rejected otherwise.
     """
-    from .minreal import is_strongly_minimal, strongly_minimal_reduce
-
+    report = records = None
     if not assume_strongly_minimal:
         report = is_strongly_minimal(q, tol, seed)
         if not report.strongly_minimal:
@@ -141,7 +149,7 @@ def rational_structure(
                 raise NotStronglyMinimal(
                     "not strongly minimal; enable reduction or reduce first"
                 )
-            q, _, _, _ = strongly_minimal_reduce(q, tol, seed)
+            q, _, _, records = strongly_minimal_reduce(q, tol, seed)
 
     S = system_pencil(q)
     rep_S = kronecker_structure(S, tol, seed)
@@ -168,4 +176,6 @@ def rational_structure(
         infinity_indices=infinity,
         right_minimal=rep_S.right_minimal,
         left_minimal=rep_S.left_minimal,
+        minimality=report,
+        reduction=records,
     )

@@ -9,6 +9,7 @@ transfer function by constant invertible factors on the left/right.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,7 @@ from .pencil import (
     constant_pencil,
 )
 from .staircase import (
+    StaircaseError,
     infinity_mcmillan_indices,
     kronecker_structure,
     separate_regular_right,
@@ -82,7 +84,8 @@ def _classified_eigenvalues(X: Pencil, tol: float, seed: int) -> np.ndarray:
     Plain QZ splits a defective block at infinity into a cloud of huge
     finite values that can also swallow nearby genuine eigenvalues, so the
     structure at infinity is deflated first (unitarily) and QZ runs on the
-    finite block alone.
+    finite block alone.  When the deflation fails, plain QZ on the whole
+    pencil is used instead, with a ``RuntimeWarning``.
     """
     from .linalg import eig_pair
     from .staircase import split_infinite
@@ -91,11 +94,18 @@ def _classified_eigenvalues(X: Pencil, tol: float, seed: int) -> np.ndarray:
         return np.zeros(0, dtype=complex)
     try:
         _, _, transformed, n_inf = split_infinite(X, tol)
-        k = X.rows - n_inf
-        finite = eig_pair(transformed.L0[:k, :k], transformed.L1[:k, :k], tol)
-    except Exception:
+    except StaircaseError as exc:
+        warnings.warn(
+            f"deflation at infinity failed ({exc}); using plain QZ on the "
+            f"{X.rows} x {X.rows} pencil",
+            RuntimeWarning,
+            stacklevel=2,
+        )
         n_inf = 0
         finite = generalized_eigenvalues(X, tol, seed)
+    else:
+        k = X.rows - n_inf
+        finite = eig_pair(transformed.L0[:k, :k], transformed.L1[:k, :k], tol)
     vals = list(finite) + [complex(np.inf, 0.0)] * n_inf
     return np.asarray(vals, dtype=complex)
 
@@ -211,7 +221,7 @@ def reduce_controllable(
     W_top = sf.W[:r, :]
     W_ab = W_top[:, :d]
     W13 = W_top[:, d:]
-    V, rv = col_compress(W_ab, tol, side="right-zeros")
+    V, rv = col_compress(W_ab, tol)
     if rv != r:
         raise ReductionError(
             f"inconsistent deflation count: compressed rank {rv}, expected {r}"
@@ -298,12 +308,15 @@ def reduce_observable(
     return q_o, record
 
 
+# Reduction passes strongly_minimal_reduce makes before giving up.
+_MAX_PASSES = 4
+
+
 def strongly_minimal_reduce(
     q: SystemQuadruple,
     tol: float = DEFAULT_TOL,
     seed: int = 0,
     order: str = "co",
-    max_passes: int = 4,
 ):
     """Reduce a quadruple to strongly minimal form.
 
@@ -322,7 +335,7 @@ def strongly_minimal_reduce(
     Wr = np.eye(n, dtype=complex)
     records = []
     current = q
-    for _ in range(max_passes):
+    for _ in range(_MAX_PASSES):
         for step in order:
             if step == "c":
                 current, rec = reduce_controllable(current, tol, seed)

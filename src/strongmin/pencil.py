@@ -80,11 +80,6 @@ def vstack_pencils(pencils) -> Pencil:
     )
 
 
-def block_pencil(blocks) -> Pencil:
-    """Assemble a pencil from a 2-D layout of pencil blocks."""
-    return vstack_pencils([hstack_pencils(row) for row in blocks])
-
-
 def constant_pencil(M) -> Pencil:
     """Pencil that is identically equal to the constant matrix ``M``."""
     M = as_complex_matrix(M)
@@ -121,10 +116,6 @@ class Rotation:
             return complex(np.inf, 0.0)
         return (self.c * mu - self.s) / den
 
-    def pull_back(self, lam: complex) -> complex:
-        """Preimage mu of a point lambda under the variable change."""
-        return self.inverse().map_point(lam)
-
 
 IDENTITY_ROTATION = Rotation(1.0, 0.0)
 
@@ -143,9 +134,11 @@ def mobius_rotate(P: Pencil, rot: Rotation) -> Pencil:
     return Pencil(c * P.L0 + s * P.L1, -s * P.L0 + c * P.L1)
 
 
-def choose_rotation(
-    P: Pencil, seed: int = 0, max_tries: int = 32, tol: float = DEFAULT_TOL
-) -> Rotation:
+# Random angles choose_rotation samples when the identity is not good enough.
+_ROTATION_TRIES = 32
+
+
+def choose_rotation(P: Pencil, seed: int = 0, tol: float = DEFAULT_TOL) -> Rotation:
     """Rotation making the rotated pencil's leading coefficient full row rank.
 
     The rotated leading coefficient is singular exactly when cot(theta)
@@ -177,7 +170,7 @@ def choose_rotation(
     best_margin = margin(P.L1) if matrix_rank(P.L1, tol, floor=floor) == m else -1.0
     if best_margin > 0:
         best = IDENTITY_ROTATION
-    for _ in range(max_tries):
+    for _ in range(_ROTATION_TRIES):
         theta = rng.uniform(0.0, math.pi)
         c, s = math.cos(theta), math.sin(theta)
         g = margin(-s * P.L0 + c * P.L1)
@@ -290,29 +283,46 @@ def system_pencil(q: SystemQuadruple) -> Pencil:
     return Pencil(L0, L1)
 
 
+def normal_rank(P: Pencil, tol: float = DEFAULT_TOL, seed: int = 0) -> int:
+    """Normal rank from the maximum rank over seeded random evaluations.
+
+    Points are drawn at several radii: a single badly matched radius can
+    spread the singular values of the evaluation past 1/tol even though
+    the pencil has full normal rank.  The first radius is the coefficient
+    norm ratio ``|L0| / |L1|``, clamped to [1e-2, 1e2].
+    """
+    m, n = P.shape
+    if m == 0 or n == 0:
+        return 0
+    rng = np.random.default_rng(seed)
+    n0, n1 = np.linalg.norm(P.L0), np.linalg.norm(P.L1)
+    if n0 == 0 and n1 == 0:
+        return 0
+    rho = min(max((n0 + 1e-300) / (n1 + 1e-300), 1e-2), 1e2)
+    best = 0
+    for radius in (rho, 1.0, np.sqrt(rho)):
+        for _ in range(2):
+            z = radius * np.exp(2j * np.pi * rng.uniform())
+            best = max(best, matrix_rank(P(z), tol))
+            if best == min(m, n):
+                return best
+    return best
+
+
 def validate_regular(q: SystemQuadruple, tol: float = DEFAULT_TOL, seed: int = 0) -> None:
     """Probabilistic regularity check of the A block.
 
     A full-rank leading coefficient certifies regularity outright; otherwise
-    the rank of ``A(z)`` is tested at three seeded random points.  Raises
-    :class:`SingularPencilError` when every test fails.
+    the :func:`normal_rank` of ``A`` must be full.  Raises
+    :class:`SingularPencilError` when it is not.
     """
     d = q.d
     if d == 0:
         return
     if matrix_rank(q.A.L1, tol) == d:
         return
-    rng = np.random.default_rng(seed)
-    scale = q.A.coefficient_scale()
-    rho = 1.0 if scale == 0 else max(np.linalg.norm(q.A.L0), 1e-6) / max(
-        np.linalg.norm(q.A.L1), 1e-6
-    )
-    rho = min(max(rho, 1e-3), 1e3)
-    for _ in range(3):
-        z = rho * np.exp(2j * math.pi * rng.uniform())
-        if matrix_rank(q.A(z), tol) == d:
-            return
-    raise SingularPencilError("A block is singular as a polynomial matrix")
+    if normal_rank(q.A, tol, seed) < d:
+        raise SingularPencilError("A block is singular as a polynomial matrix")
 
 
 def transfer_eval(q: SystemQuadruple, z: complex, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -325,8 +335,7 @@ def transfer_eval(q: SystemQuadruple, z: complex, tol: float = DEFAULT_TOL) -> n
     if q.d == 0:
         return Dz
     Az = q.A(z)
-    s = np.linalg.svd(Az, compute_uv=False)
-    if s[-1] <= tol * q.d * s[0]:
+    if matrix_rank(Az, tol) < q.d:
         raise SingularPencilError("evaluation at pole of A")
     return Dz + q.C(z) @ np.linalg.solve(Az, q.B(z))
 
@@ -336,29 +345,15 @@ def generalized_eigenvalues(
 ) -> np.ndarray:
     """Eigenvalues (finite and infinite) of a square regular pencil.
 
-    Regularity is verified by the rank of a few seeded random evaluations;
-    infinite eigenvalues are reported as ``inf + 0j``, one per defect of the
-    leading coefficient in the generalized Schur form.
+    Regularity is verified by :func:`normal_rank`; infinite eigenvalues are
+    reported as ``inf + 0j``, one per defect of the leading coefficient in
+    the generalized Schur form.
     """
     m, n = P.shape
     if m != n:
         raise SingularPencilError("singular pencil: not square")
     if n == 0:
         return np.zeros(0, dtype=complex)
-    rng = np.random.default_rng(seed)
-    n0, n1 = np.linalg.norm(P.L0), np.linalg.norm(P.L1)
-    rho = min(max((n0 + 1e-300) / (n1 + 1e-300), 1e-3), 1e3)
-    # Several radii: at a badly matched radius the evaluated matrix can
-    # spread its singular values past 1/tol even for a regular pencil.
-    regular = False
-    for radius in (rho, 1.0, math.sqrt(rho)):
-        for _ in range(2):
-            z = radius * np.exp(2j * math.pi * rng.uniform())
-            if matrix_rank(P(z), tol) == n:
-                regular = True
-                break
-        if regular:
-            break
-    if not regular:
+    if normal_rank(P, tol, seed) < n:
         raise SingularPencilError("singular pencil")
     return eig_pair(P.L0, P.L1, tol)

@@ -8,7 +8,8 @@ part that has full row rank for all lambda including infinity.  The split is
 computed with unitary transformations only: the pencil is first rotated so
 that its leading coefficient has full row rank (no eigenvalues at infinity
 in the rotated variable), after which a single staircase loop of alternating
-column/row compressions deflates the regular part.
+column/row compressions deflates the regular part.  ``split_infinite`` runs
+the same loop, unrotated, to deflate the infinite part of a regular pencil.
 
 ``kronecker_structure`` reports the complete Kronecker data of an arbitrary
 pencil: finite eigenvalues with partial multiplicities, infinite block
@@ -25,11 +26,13 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    col_compress,
     matrix_rank,
     rank_with_gap,
     random_unitary,
+    row_compress,
 )
-from .pencil import Pencil, mobius_rotate, choose_rotation
+from .pencil import Pencil, mobius_rotate, choose_rotation, normal_rank
 
 
 class StaircaseError(RuntimeError):
@@ -56,11 +59,6 @@ class StaircaseForm:
         r = self.d_reg
         return Pencil(self.transformed.L0[:r, :r], self.transformed.L1[:r, :r])
 
-    @property
-    def trailing_part(self) -> Pencil:
-        r = self.d_reg
-        return Pencil(self.transformed.L0[r:, r:], self.transformed.L1[r:, r:])
-
     def right_minimal_indices(self) -> tuple:
         """Right minimal indices of the input, from the staircase block data."""
         eps = []
@@ -69,24 +67,44 @@ class StaircaseForm:
         return tuple(sorted(eps))
 
 
-def _compress_cols(M, tol, floor):
-    """Column compression M V = [M' | 0] with an absolute threshold floor."""
-    if M.shape[1] == 0:
-        return np.zeros((0, 0), dtype=complex), 0
-    U, s, Vh = np.linalg.svd(M)
-    thr = max(tol * max(M.shape) * (float(s[0]) if s.size else 0.0), floor)
-    r = int(np.count_nonzero(s > thr))
-    return Vh.conj().T, r
+def _staircase(P: Pencil, tol: float, check):
+    """The staircase loop shared by both deflations.
 
-
-def _compress_rows(M, tol, floor):
-    """Row compression U M = [M'; 0] with an absolute threshold floor."""
-    if M.shape[0] == 0 or M.shape[1] == 0:
-        return np.eye(M.shape[0], dtype=complex), 0
-    U, s, Vh = np.linalg.svd(M)
-    thr = max(tol * max(M.shape) * (float(s[0]) if s.size else 0.0), floor)
-    r = int(np.count_nonzero(s > thr))
-    return U.conj().T, r
+    Each step compresses the columns of the window's ``L1``, then the rows
+    of ``L0`` on the kernel columns, moving those rows to the bottom; the
+    window shrinks to what is left.  Thresholds are floored at the scale of
+    the whole pencil.  ``check(mw, rB, nu, s_rank)`` (window rows, rank of
+    ``L1``, kernel width, rank of ``L0`` on the kernel) raises
+    :class:`StaircaseError` on a step the caller's problem rules out.
+    Returns ``(U, W, U P W^H, blocks, mw, nw)``, ``blocks`` holding the
+    ``(nu, s_rank)`` of each step and ``(mw, nw)`` the final window.
+    """
+    m, n = P.shape
+    A = P.L0.copy()
+    B = P.L1.copy()
+    floor = tol * max(m, n) * P.coefficient_scale()
+    U_acc = np.eye(m, dtype=complex)
+    Wh_acc = np.eye(n, dtype=complex)
+    blocks = []
+    mw, nw = m, n
+    while mw > 0:
+        V, rB = col_compress(B[:mw, :nw], tol, floor)
+        nu = nw - rB
+        if nu == 0:
+            break
+        A[:, :nw] = A[:, :nw] @ V
+        B[:, :nw] = B[:, :nw] @ V
+        Wh_acc[:, :nw] = Wh_acc[:, :nw] @ V
+        Urc, s_rank = row_compress(A[:mw, rB:nw], tol, floor)
+        check(mw, rB, nu, s_rank)
+        Uw = np.vstack([Urc[s_rank:, :], Urc[:s_rank, :]])
+        A[:mw, :] = Uw @ A[:mw, :]
+        B[:mw, :] = Uw @ B[:mw, :]
+        U_acc[:mw, :] = Uw @ U_acc[:mw, :]
+        blocks.append((nu, s_rank))
+        mw -= s_rank
+        nw = rB
+    return U_acc, Wh_acc.conj().T, Pencil(A, B), blocks, mw, nw
 
 
 def separate_regular_right(
@@ -104,53 +122,25 @@ def separate_regular_right(
         return StaircaseForm(
             np.zeros((0, 0), complex), np.eye(n, dtype=complex), P.copy(), 0, []
         )
-    if _normal_rank(P, tol, seed) < m:
+    if normal_rank(P, tol, seed) < m:
         raise StaircaseError("normal rank deficient rows")
 
-    rot = choose_rotation(P, seed=seed, tol=tol)
-    Pr = mobius_rotate(P, rot)
-    A = Pr.L0.copy()
-    B = Pr.L1.copy()
-    floor = tol * max(m, n) * Pr.coefficient_scale()
-
-    U_acc = np.eye(m, dtype=complex)
-    Wh_acc = np.eye(n, dtype=complex)
-    blocks = []
-    mw, nw = m, n
-    while True:
-        if mw == 0:
-            if nw > 0:
-                blocks.append((nw, 0))
-                nw = 0
-            break
-        Bw = B[:mw, :nw]
-        V, rB = _compress_cols(Bw, tol, floor)
+    def full_row_rank(mw, rB, nu, s_rank):
+        # The rotation gave the leading coefficient full row rank, and every
+        # window must keep it.
         if rB < mw:
             raise StaircaseError(
                 "rank decisions inconsistent: window leading coefficient "
                 f"lost full row rank ({rB} < {mw})"
             )
-        nu = nw - rB
-        if nu == 0:
-            break
-        A[:, :nw] = A[:, :nw] @ V
-        B[:, :nw] = B[:, :nw] @ V
-        Wh_acc[:, :nw] = Wh_acc[:, :nw] @ V
-        A2 = A[:mw, rB:nw]
-        Urc, s_rank = _compress_rows(A2, tol, floor)
-        Uw = np.vstack([Urc[s_rank:, :], Urc[:s_rank, :]])
-        A[:mw, :] = Uw @ A[:mw, :]
-        B[:mw, :] = Uw @ B[:mw, :]
-        U_acc[:mw, :] = Uw @ U_acc[:mw, :]
-        blocks.append((nu, s_rank))
-        mw -= s_rank
-        nw = rB
 
-    if mw != nw:
+    rot = choose_rotation(P, seed=seed, tol=tol)
+    U, W, T, blocks, mw, nw = _staircase(mobius_rotate(P, rot), tol, full_row_rank)
+    if mw == 0 and nw > 0:
+        blocks.append((nw, 0))
+    elif mw != nw:
         raise StaircaseError("inconsistent deflation count")
-    transformed = mobius_rotate(Pencil(A, B), rot.inverse())
-    W = Wh_acc.conj().T
-    return StaircaseForm(U_acc, W, transformed, mw, blocks)
+    return StaircaseForm(U, W, mobius_rotate(T, rot.inverse()), mw, blocks)
 
 
 def split_infinite(P: Pencil, tol: float = DEFAULT_TOL):
@@ -166,33 +156,18 @@ def split_infinite(P: Pencil, tol: float = DEFAULT_TOL):
     n = P.rows
     if P.cols != n:
         raise StaircaseError("split_infinite expects a square pencil")
-    A = P.L0.copy()
-    B = P.L1.copy()
-    floor = tol * max(n, 1) * P.coefficient_scale()
-    U_acc = np.eye(n, dtype=complex)
-    Wh_acc = np.eye(n, dtype=complex)
-    nw = n
-    while nw > 0:
-        V, rB = _compress_cols(B[:nw, :nw], tol, floor)
-        nu = nw - rB
-        if nu == 0:
-            break
-        A[:, :nw] = A[:, :nw] @ V
-        B[:, :nw] = B[:, :nw] @ V
-        Wh_acc[:, :nw] = Wh_acc[:, :nw] @ V
-        A2 = A[:nw, rB:nw]
-        Urc, s_rank = _compress_rows(A2, tol, floor)
+
+    def regular(mw, rB, nu, s_rank):
+        # A regular pencil keeps every step square: the constant term has
+        # full column rank on the leading-coefficient kernel.
         if s_rank != nu:
             raise StaircaseError(
                 "pencil is singular: constant term rank-deficient on the "
                 "leading-coefficient kernel"
             )
-        Uw = np.vstack([Urc[s_rank:, :], Urc[:s_rank, :]])
-        A[:nw, :] = Uw @ A[:nw, :]
-        B[:nw, :] = Uw @ B[:nw, :]
-        U_acc[:nw, :] = Uw @ U_acc[:nw, :]
-        nw -= nu
-    return U_acc, Wh_acc.conj().T, Pencil(A, B), n - nw
+
+    U, W, transformed, _, _, nw = _staircase(P, tol, regular)
+    return U, W, transformed, n - nw
 
 
 # ---------------------------------------------------------------------------
@@ -242,31 +217,6 @@ def infinity_mcmillan_indices(report: KroneckerReport) -> tuple:
     k - 1; blocks of size 1 contribute nothing.
     """
     return tuple(sorted(k - 1 for k in report.infinite_blocks if k >= 2))
-
-
-def _normal_rank(P: Pencil, tol: float, seed: int) -> int:
-    """Normal rank from the maximum rank over seeded random evaluations.
-
-    Points are drawn at several radii: a single badly matched radius can
-    spread the singular values of the evaluation past 1/tol even though
-    the pencil has full normal rank.
-    """
-    m, n = P.shape
-    if m == 0 or n == 0:
-        return 0
-    rng = np.random.default_rng(seed)
-    n0, n1 = np.linalg.norm(P.L0), np.linalg.norm(P.L1)
-    if n0 == 0 and n1 == 0:
-        return 0
-    rho = min(max((n0 + 1e-300) / (n1 + 1e-300), 1e-2), 1e2)
-    best = 0
-    for radius in (rho, 1.0, np.sqrt(rho)):
-        for _ in range(2):
-            z = radius * np.exp(2j * np.pi * rng.uniform())
-            best = max(best, matrix_rank(P(z), tol))
-            if best == min(m, n):
-                return best
-    return best
 
 
 def _chain_nullity(Ac, Bc, k, tol):
@@ -392,14 +342,10 @@ def _finite_candidates(P: Pencil, r: int, tol: float, seed: int):
     if r == 0:
         return []
     vals = []
-    if r == m:
-        sf = separate_regular_right(P, tol, seed)
-        X = sf.regular_part
-        if X.rows:
-            vals = list(eig_pair(X.L0, X.L1, tol))
-    elif r == n:
-        sf = separate_regular_right(P.transpose(), tol, seed)
-        X = sf.regular_part
+    if r in (m, n):
+        X = separate_regular_right(
+            P if r == m else P.transpose(), tol, seed
+        ).regular_part
         if X.rows:
             vals = list(eig_pair(X.L0, X.L1, tol))
     else:
@@ -473,14 +419,6 @@ def kronecker_structure(
 
     m, n = P.shape
     scale = P.coefficient_scale()
-    if m == 0 or n == 0 or scale == 0:
-        return KroneckerReport(
-            normal_rank=0,
-            finite_eigen={},
-            infinite_blocks=(),
-            right_minimal=(0,) * n,
-            left_minimal=(0,) * m,
-        )
     # Coefficients fully below the joint noise floor carry no structure at
     # the working tolerance; dropping them keeps a noise-level leading
     # coefficient from masquerading as a huge finite eigenvalue.
@@ -490,7 +428,7 @@ def kronecker_structure(
     if np.linalg.norm(L1) <= tol * scale:
         L1 = np.zeros_like(L1)
     P = Pencil(L0, L1)
-    r = _normal_rank(P, tol, seed)
+    r = normal_rank(P, tol, seed)  # 0 for an empty or zero pencil
     if r == 0:
         return KroneckerReport(
             normal_rank=0,

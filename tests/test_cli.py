@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,6 +147,23 @@ class TestStructureCommand:
         rc = main(["structure", "/nonexistent/q.json"])
         assert rc == 1
 
+    def test_no_reduce_rejects_non_minimal(self, tmp_path, capsys):
+        q = example_polynomial_system(*_example_coeffs(3))
+        path = write_system(tmp_path, q)
+        rc = main(["structure", path, "--no-reduce"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert "not strongly minimal" in captured.err
+
+    def test_no_reduce_same_report_on_minimal_input(self, tmp_path, capsys):
+        path = write_system(tmp_path, lambda_and_inverse_system())
+        assert main(["structure", path]) == 0
+        reduced = capsys.readouterr().out
+        assert main(["structure", path, "--no-reduce"]) == 0
+        assert capsys.readouterr().out == reduced
+        assert json.loads(reduced)["reduction"] is None
+
 
 class TestReduceCommand:
     def test_minimal_input_sizes_unchanged(self, tmp_path, capsys):
@@ -154,7 +172,7 @@ class TestReduceCommand:
         out_path = str(tmp_path / "red.json")
         rc = main(["reduce", path, "--output", out_path])
         assert rc == 0
-        doc = json.loads(open(out_path).read())
+        doc = json.loads(Path(out_path).read_text())
         assert doc["d"] == 3
 
     def test_example_polynomial_shrinks_by_four(self, tmp_path):
@@ -164,7 +182,7 @@ class TestReduceCommand:
         out_path = str(tmp_path / "red.json")
         rc = main(["reduce", path, "--output", out_path])
         assert rc == 0
-        doc = json.loads(open(out_path).read())
+        doc = json.loads(Path(out_path).read_text())
         assert doc["d"] == q.d - 4
         # The written quadruple must itself be strongly minimal.
         from strongmin.minreal import is_strongly_minimal
@@ -182,7 +200,7 @@ class TestReduceCommand:
         out_path = str(tmp_path / "red.json")
         rc = main(["reduce", path, "--output", out_path])
         assert rc == 0
-        doc = json.loads(open(out_path).read())
+        doc = json.loads(Path(out_path).read_text())
         assert doc["d"] <= q.d - 1
 
 

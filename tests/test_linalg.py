@@ -67,20 +67,22 @@ def test_row_compress_rank_one():
 
 def test_col_compress_row_vector():
     M = np.array([[1.0, 1.0]])
-    V, r = col_compress(M, side="right-zeros")
+    V, r = col_compress(M)
     assert r == 1
     MV = M @ V
     assert abs(MV[0, 0]) == pytest.approx(np.sqrt(2.0))
     assert abs(MV[0, 1]) < 50 * EPS
 
 
-def test_col_compress_left_zeros():
-    M = np.array([[1.0, 1.0]])
-    V, r = col_compress(M, side="left-zeros")
-    MV = M @ V
-    assert r == 1
-    assert abs(MV[0, 0]) < 50 * EPS
-    assert abs(MV[0, 1]) == pytest.approx(np.sqrt(2.0))
+@pytest.mark.parametrize("compress", [row_compress, col_compress])
+def test_compress_floor(compress):
+    # Every entry sits below the floor: the block counts as rank 0 however
+    # well conditioned it is relative to its own largest singular value.
+    M = 1e-10 * np.array([[2.0, 1.0], [1.0, 3.0], [0.5, 1.0]])
+    _, r = compress(M, floor=1e-8)
+    assert r == 0
+    _, r = compress(M, floor=0.0)
+    assert r == 2
 
 
 def test_col_compress_identity_and_zero():

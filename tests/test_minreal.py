@@ -20,9 +20,11 @@ from strongmin.pencil import (
     SingularPencilError,
     SystemQuadruple,
     constant_pencil,
+    generalized_eigenvalues,
     system_pencil,
     transfer_eval,
 )
+from strongmin.staircase import StaircaseError
 
 RNG_POLY = np.random.default_rng(20240817)
 
@@ -239,6 +241,20 @@ class TestInfinitePropertyLink:
         assert sf.d_reg == 0
         rep = kronecker_structure(_bordered_observable(q))
         assert infinity_mcmillan_indices(rep) == ()
+
+
+def test_failed_deflation_at_infinity_falls_back_to_qz_loudly(monkeypatch):
+    import strongmin.minreal as minreal
+    import strongmin.staircase as staircase
+
+    def fail(P, tol):
+        raise StaircaseError("forced failure")
+
+    monkeypatch.setattr(staircase, "split_infinite", fail)
+    X = Pencil(np.diag([1.0, 2.0, 3.0]), np.diag([1.0, 1.0, 0.0]))
+    with pytest.warns(RuntimeWarning, match="plain QZ"):
+        vals = minreal._classified_eigenvalues(X, 1e-12, 0)
+    np.testing.assert_array_equal(vals, generalized_eigenvalues(X))
 
 
 def test_rank_L1_equals_mcmillan_degree_for_minimal_example():

@@ -13,10 +13,12 @@ from strongmin.pencil import (
     generalized_eigenvalues,
     lambda_scale,
     mobius_rotate,
+    normal_rank,
     quadruple_from_constants,
     state_space_quadruple,
     system_pencil,
     transfer_eval,
+    validate_regular,
 )
 
 EPS = np.finfo(float).eps
@@ -142,7 +144,7 @@ class TestChooseRotation:
         # Zero row: no rotation can make the leading coefficient full row rank.
         P = Pencil(np.zeros((2, 2)), np.zeros((2, 2)))
         with pytest.raises(RotationError):
-            choose_rotation(P, seed=0, max_tries=8)
+            choose_rotation(P, seed=0)
 
 
 class TestLambdaScale:
@@ -204,6 +206,50 @@ class TestGeneralizedEigenvalues:
         cost = np.abs(a[:, None] - b[None, :])
         rows, cols = linear_sum_assignment(cost)
         assert cost[rows, cols].max() < 1e-9 * max(1.0, np.abs(a).max())
+
+
+class TestNormalRank:
+    @staticmethod
+    def equal_rows_pencil(n=4):
+        rng = np.random.default_rng(11)
+        L0 = rng.standard_normal((n, n))
+        L1 = rng.standard_normal((n, n))
+        L0[1], L1[1] = L0[0], L1[0]
+        return Pencil(L0, L1)
+
+    @pytest.fixture
+    def probes(self, monkeypatch):
+        import strongmin.pencil as pencil_module
+
+        calls = []
+
+        def counted(P, tol, seed):
+            calls.append(P.shape)
+            return normal_rank(P, tol, seed)
+
+        monkeypatch.setattr(pencil_module, "normal_rank", counted)
+        return calls
+
+    def test_two_equal_rows_lose_one(self):
+        P = self.equal_rows_pencil()
+        assert normal_rank(P) == P.rows - 1
+        full = Pencil(P.L0 + np.eye(4)[:, :1] @ np.ones((1, 4)), P.L1)
+        assert normal_rank(full) == P.rows
+
+    def test_validate_regular_rejects(self, probes):
+        P = self.equal_rows_pencil()
+        q = SystemQuadruple(
+            P, constant_pencil(np.ones((4, 1))),
+            constant_pencil(np.ones((1, 4))), constant_pencil([[0.0]]),
+        )
+        with pytest.raises(SingularPencilError):
+            validate_regular(q)
+        assert probes == [(4, 4)]
+
+    def test_generalized_eigenvalues_rejects(self, probes):
+        with pytest.raises(SingularPencilError):
+            generalized_eigenvalues(self.equal_rows_pencil())
+        assert probes == [(4, 4)]
 
 
 def test_state_space_quadruple_transfer():
