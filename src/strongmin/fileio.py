@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 import numpy as np
 
@@ -30,6 +31,19 @@ def _flatten(M: np.ndarray) -> list:
     return out
 
 
+def _entry_error(pair):
+    """What is wrong with one ``[re, im]`` entry, or None."""
+    if not (isinstance(pair, list) and len(pair) == 2):
+        return "expected an [re, im] pair"
+    if not all(isinstance(x, (int, float)) for x in pair):
+        return "non-numeric entry"
+    try:
+        finite = all(math.isfinite(x) for x in pair)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    return None if finite else "non-finite entry"
+
+
 def _unflatten(data, rows, cols, name):
     if not isinstance(data, list):
         raise QuadrupleFormatError(f"{name}: expected a list of [re, im] pairs")
@@ -37,17 +51,27 @@ def _unflatten(data, rows, cols, name):
         raise QuadrupleFormatError(
             f"{name}: expected {rows * cols} entries, got {len(data)}"
         )
-    out = np.zeros((rows, cols), dtype=complex)
-    for k, pair in enumerate(data):
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise QuadrupleFormatError(f"{name}[{k}]: expected an [re, im] pair")
-        re, im = pair
-        if not all(isinstance(x, (int, float)) for x in (re, im)):
-            raise QuadrupleFormatError(f"{name}[{k}]: non-numeric entry")
-        if not (np.isfinite(re) and np.isfinite(im)):
-            raise QuadrupleFormatError(f"{name}[{k}]: non-finite entry")
-        out[k // cols, k % cols] = complex(re, im)
-    return out
+    ok = all(
+        isinstance(pair, list)
+        and len(pair) == 2
+        and isinstance(pair[0], (int, float))
+        and isinstance(pair[1], (int, float))
+        for pair in data
+    )
+    if ok:
+        try:
+            pairs = np.array(data, dtype=float).reshape(-1, 2)
+        except OverflowError:  # an integer beyond the float range
+            ok = False
+        else:
+            ok = bool(np.isfinite(pairs).all())
+    if not ok:
+        for k, pair in enumerate(data):
+            error = _entry_error(pair)
+            if error:
+                raise QuadrupleFormatError(f"{name}[{k}]: {error}")
+    # Each row holds the real and imaginary parts of one complex entry.
+    return pairs.view(complex).reshape(rows, cols)
 
 
 def quadruple_to_dict(q: SystemQuadruple) -> dict:

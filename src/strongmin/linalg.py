@@ -19,9 +19,13 @@ import numpy as np
 DEFAULT_TOL = 1e-12
 
 
-def as_complex_matrix(M) -> np.ndarray:
-    """Coerce ``M`` to a 2-D complex ndarray, rejecting non-finite entries."""
-    A = np.array(M, dtype=complex)
+def as_complex_matrix(M, copy: bool = True) -> np.ndarray:
+    """Coerce ``M`` to a 2-D complex ndarray, rejecting non-finite entries.
+
+    With ``copy=False`` a complex ndarray input is returned as is, for
+    callers that only read it.
+    """
+    A = np.array(M, dtype=complex) if copy else np.asarray(M, dtype=complex)
     if A.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={A.ndim}")
     if A.size and not np.all(np.isfinite(A)):
@@ -49,9 +53,21 @@ def _rank_rule(s: np.ndarray, shape, tol: float, floor: float = 0.0):
     return int(np.count_nonzero(s > thr)), thr
 
 
+def _gap_rule(s: np.ndarray, shape, tol: float, floor: float = 0.0):
+    """:func:`rank_with_gap` from singular values ``s`` already computed
+    (largest first) for a nonempty matrix of the given shape."""
+    rank, _ = _rank_rule(s, shape, tol, floor)
+    ambiguous = False
+    if 0 < rank < s.size:
+        above, below = float(s[rank - 1]), float(s[rank])
+        if below > 0 and above / below < 10.0:
+            ambiguous = True
+    return rank, ambiguous
+
+
 def _svd_decision(M, tol: float, floor: float):
     """Full SVD of a nonempty matrix with its rank decision."""
-    A = as_complex_matrix(M)
+    A = as_complex_matrix(M, copy=False)
     if A.size == 0:
         raise ValueError("empty matrix")
     U, s, Vh = np.linalg.svd(A)
@@ -75,7 +91,7 @@ def matrix_rank(M, tol: float = DEFAULT_TOL, floor: float = 0.0) -> int:
     ``floor`` is an absolute lower bound on the threshold for sub-blocks of
     a larger problem whose scale must prevail.
     """
-    A = as_complex_matrix(M)
+    A = as_complex_matrix(M, copy=False)
     if A.size == 0:
         return 0
     s = np.linalg.svd(A, compute_uv=False)
@@ -91,17 +107,10 @@ def rank_with_gap(M, tol: float = DEFAULT_TOL, floor: float = 0.0):
     threshold are within a factor 10 of each other, i.e. the rank would
     flip under a modest change of ``tol``.
     """
-    A = as_complex_matrix(M)
+    A = as_complex_matrix(M, copy=False)
     if A.size == 0:
         return 0, False
-    s = np.linalg.svd(A, compute_uv=False)
-    rank, _ = _rank_rule(s, A.shape, tol, floor)
-    ambiguous = False
-    if 0 < rank < s.size:
-        above, below = float(s[rank - 1]), float(s[rank])
-        if below > 0 and above / below < 10.0:
-            ambiguous = True
-    return rank, ambiguous
+    return _gap_rule(np.linalg.svd(A, compute_uv=False), A.shape, tol, floor)
 
 
 def row_compress(M, tol: float = DEFAULT_TOL, floor: float = 0.0):

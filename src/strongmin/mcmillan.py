@@ -7,8 +7,10 @@ For a strongly minimal quadruple the complete structure of
 * minimal indices of R   <- minimal indices of S,
 * finite poles of R      <- finite eigenvalues of the A block,
 * infinite zeros of R    <- infinite blocks of S, sizes shifted by one,
-* infinite poles of R    <- infinite blocks of an identity-bordered pencil
-                            built from the leading coefficients, shifted.
+* infinite poles of R    <- block sizes at infinity of an identity-bordered
+                            pencil built from the leading coefficients,
+                            shifted by one, read off the kernel widths of
+                            one staircase (``split_infinite``).
 
 Structural indices follow the local Smith-McMillan convention: at each
 point the indices are sorted increasingly, negative values are poles and
@@ -23,7 +25,7 @@ import numpy as np
 from .linalg import DEFAULT_TOL
 from .minreal import MinimalityReport, is_strongly_minimal, strongly_minimal_reduce
 from .pencil import Pencil, SystemQuadruple, system_pencil
-from .staircase import infinity_mcmillan_indices, kronecker_structure
+from .staircase import infinity_mcmillan_indices, kronecker_structure, split_infinite
 
 
 class NotStronglyMinimal(RuntimeError):
@@ -90,7 +92,8 @@ def mcmillan_degree(s: McMillanStructure) -> int:
 
 def infinite_pole_pencil(q: SystemQuadruple) -> Pencil:
     """Identity-bordered pencil whose infinite zero structure gives the
-    infinite polar structure of the transfer function.
+    infinite polar structure of the transfer function.  It is square, and
+    regular whenever ``q.A`` is.
 
     Layout (constant terms already eliminated against the identity pivots):
 
@@ -166,8 +169,10 @@ def rational_structure(
             _merge_point(finite, lam, [-int(k) for k in part], match_tol)
 
     inf_zeros = [int(k) for k in infinity_mcmillan_indices(rep_S)]
-    rep_larger = kronecker_structure(infinite_pole_pencil(q), tol, seed)
-    inf_poles = [-int(k) for k in infinity_mcmillan_indices(rep_larger)]
+    # Only the structure at infinity of this pencil is needed: one staircase
+    # gives its block sizes, and a block of size k is a pole of order k - 1.
+    *_, blocks = split_infinite(infinite_pole_pencil(q), tol)
+    inf_poles = [1 - k for k in blocks if k >= 2]
     infinity = tuple(sorted(inf_poles + inf_zeros))
 
     return McMillanStructure(

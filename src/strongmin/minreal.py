@@ -93,7 +93,7 @@ def _classified_eigenvalues(X: Pencil, tol: float, seed: int) -> np.ndarray:
     if X.rows == 0:
         return np.zeros(0, dtype=complex)
     try:
-        _, _, transformed, n_inf = split_infinite(X, tol)
+        _, _, transformed, n_inf, _ = split_infinite(X, tol)
     except StaircaseError as exc:
         warnings.warn(
             f"deflation at infinity failed ({exc}); using plain QZ on the "

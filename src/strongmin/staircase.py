@@ -9,7 +9,9 @@ computed with unitary transformations only: the pencil is first rotated so
 that its leading coefficient has full row rank (no eigenvalues at infinity
 in the rotated variable), after which a single staircase loop of alternating
 column/row compressions deflates the regular part.  ``split_infinite`` runs
-the same loop, unrotated, to deflate the infinite part of a regular pencil.
+the same loop, unrotated, to deflate the infinite part of a regular pencil;
+its kernel widths are the Weyr characteristic at infinity, from which it
+also reads the block sizes at infinity.
 
 ``kronecker_structure`` reports the complete Kronecker data of an arbitrary
 pencil: finite eigenvalues with partial multiplicities, infinite block
@@ -26,6 +28,7 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    _gap_rule,
     col_compress,
     matrix_rank,
     rank_with_gap,
@@ -146,12 +149,17 @@ def separate_regular_right(
 def split_infinite(P: Pencil, tol: float = DEFAULT_TOL):
     """Unitary deflation of the infinite part of a square regular pencil.
 
-    Returns ``(U, W, transformed, n_inf)`` with ``U P(lambda) W^H``
-    block lower triangular: the leading block (size ``n - n_inf``) has an
-    invertible leading coefficient and carries the finite eigenvalues; the
-    trailing block carries the structure at infinity.  Deflating first and
-    applying QZ to the finite block only avoids the noise cloud that a
-    defective block at infinity spreads over the whole spectrum.
+    Returns ``(U, W, transformed, n_inf, inf_blocks)`` with
+    ``U P(lambda) W^H`` block lower triangular: the leading block (size
+    ``n - n_inf``) has an invertible leading coefficient and carries the
+    finite eigenvalues; the trailing block carries the structure at
+    infinity.  Deflating first and applying QZ to the finite block only
+    avoids the noise cloud that a defective block at infinity spreads over
+    the whole spectrum.  The kernel widths of the staircase steps are the
+    Weyr characteristic at infinity; ``inf_blocks`` is its conjugate
+    partition, the Kronecker block sizes at infinity (descending, summing
+    to ``n_inf``).  A step that is not square, or widths that increase,
+    raise :class:`StaircaseError`.
     """
     n = P.rows
     if P.cols != n:
@@ -166,8 +174,11 @@ def split_infinite(P: Pencil, tol: float = DEFAULT_TOL):
                 "leading-coefficient kernel"
             )
 
-    U, W, transformed, _, _, nw = _staircase(P, tol, regular)
-    return U, W, transformed, n - nw
+    U, W, transformed, blocks, _, nw = _staircase(P, tol, regular)
+    weyr = [nu for nu, _ in blocks]
+    if any(a < b for a, b in zip(weyr, weyr[1:])):
+        raise StaircaseError(f"Weyr characteristic at infinity increases: {weyr}")
+    return U, W, transformed, n - nw, _conjugate_partition(weyr)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +230,7 @@ def infinity_mcmillan_indices(report: KroneckerReport) -> tuple:
     return tuple(sorted(k - 1 for k in report.infinite_blocks if k >= 2))
 
 
-def _chain_nullity(Ac, Bc, k, tol):
+def _chain_nullity(Ac, Bc, k, tol, s=None):
     """Nullity of the k-stage staircase chain matrix at a point.
 
     The chain matrix stacks ``Ac`` on the block diagonal and ``Bc`` on the
@@ -227,31 +238,39 @@ def _chain_nullity(Ac, Bc, k, tol):
     the point together with k degrees of freedom per right singular block.
     The rank threshold is floored at the joint coefficient scale: at an
     eigenvalue of full multiplicity ``Ac`` vanishes entirely and a purely
-    relative threshold would see a full-rank noise matrix.
+    relative threshold would see a full-rank noise matrix.  ``s``, when
+    given, holds the singular values of the chain matrix, already computed
+    by the caller, and replaces its SVD.
     """
     m, n = Ac.shape
-    T = np.zeros((k * m, k * n), dtype=complex)
+    shape = (k * m, k * n)
+    scale = float(np.hypot(np.linalg.norm(Ac), np.linalg.norm(Bc)))
+    floor = tol * max(shape) * scale
+    if s is not None:
+        rank, amb = _gap_rule(s, shape, tol, floor)
+        return k * n - rank, amb
+    T = np.zeros(shape, dtype=complex)
     for j in range(k):
         T[j * m : (j + 1) * m, j * n : (j + 1) * n] = Ac
         if j + 1 < k:
             T[(j + 1) * m : (j + 2) * m, j * n : (j + 1) * n] = Bc
-    scale = float(np.hypot(np.linalg.norm(Ac), np.linalg.norm(Bc)))
-    rank, amb = rank_with_gap(T, tol, floor=tol * max(T.shape) * scale)
+    rank, amb = rank_with_gap(T, tol, floor=floor)
     return k * n - rank, amb
 
 
-def _weyr_sequence(Ac, Bc, n_singular, tol, max_len):
+def _weyr_sequence(Ac, Bc, n_singular, tol, max_len, s1=None):
     """Weyr characteristic at a point from chain-matrix nullity increments.
 
     Each right singular block inflates every nullity increment by one, so
-    ``n_singular`` is subtracted out.  Returns the (nonincreasing) list of
-    Weyr numbers and an ambiguity flag.
+    ``n_singular`` is subtracted out.  ``s1``, when given, holds the
+    singular values of ``Ac`` (the k = 1 chain matrix).  Returns the
+    (nonincreasing) list of Weyr numbers and an ambiguity flag.
     """
     weyr = []
     ambiguous = False
     prev = 0
     for k in range(1, max_len + 2):
-        nk, amb = _chain_nullity(Ac, Bc, k, tol)
+        nk, amb = _chain_nullity(Ac, Bc, k, tol, s1 if k == 1 else None)
         ambiguous = ambiguous or amb
         w = (nk - prev) - n_singular
         prev = nk
@@ -334,7 +353,8 @@ def _finite_candidates(P: Pencil, r: int, tol: float, seed: int):
     r x r pencil, whose spectrum contains the true eigenvalues plus random
     spurious points.  Candidates are validated by a rank drop of P at the
     point; spurious survivors are eliminated later by the multiplicity
-    analysis.
+    analysis.  Returns ``(a, s)`` pairs, ``s`` the singular values of
+    ``L0 - a L1`` that validated ``a``: the k = 1 chain matrix at ``a``.
     """
     from .linalg import eig_pair
 
@@ -360,12 +380,12 @@ def _finite_candidates(P: Pencil, r: int, tol: float, seed: int):
     n0, n1 = np.linalg.norm(P.L0), np.linalg.norm(P.L1)
     kept = []
     for a in finite:
-        s = np.linalg.svd(P(a), compute_uv=False)
+        s = np.linalg.svd(P.L0 - a * P.L1, compute_uv=False)
         # Threshold against the natural magnitude of P(a), not sigma_1:
         # at an eigenvalue of full multiplicity the whole matrix vanishes.
         scale_a = max(n0 + abs(a) * n1, 1e-300)
         if s[r - 1] <= 1e-6 * scale_a:
-            kept.append(a)
+            kept.append((a, s))
     return kept
 
 
@@ -449,7 +469,11 @@ def kronecker_structure(
     mu_inf = complex(-rot.c / rot.s)
 
     target = r - sum(eps) - sum(eta)
-    points = [mu_inf] + _finite_candidates(Pr, r, tol, seed)
+    candidates = _finite_candidates(Pr, r, tol, seed)
+    points = [mu_inf] + [a for a, _ in candidates]
+    # A candidate clustered alone sits at its own value, so its k = 1 chain
+    # matrix is the one whose singular values validated it.
+    singular_values = [None] + [s for _, s in candidates]
 
     best = None
     best_key = None
@@ -462,8 +486,9 @@ def kronecker_structure(
         for members in _cluster_members(points, radius):
             has_inf = any(i == 0 for i, _ in members)
             z = mu_inf if has_inf else sum(v for _, v in members) / len(members)
+            s1 = singular_values[members[0][0]] if len(members) == 1 else None
             weyr, amb = _weyr_sequence(
-                Pr.L0 - z * Pr.L1, Pr.L1, n_eps, tol * tol_mult, r
+                Pr.L0 - z * Pr.L1, Pr.L1, n_eps, tol * tol_mult, r, s1
             )
             amb_round = amb_round or amb
             part = _conjugate_partition(weyr)

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ from strongmin.fileio import (
     QuadrupleFormatError,
     parse_quadruple,
     quadruple_from_dict,
+    quadruple_to_dict,
     write_quadruple,
 )
 from strongmin.gallery import (
@@ -55,6 +57,45 @@ class TestFileFormat:
         path.write_text(body)
         with pytest.raises(QuadrupleFormatError, match="non-finite"):
             parse_quadruple(path)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ('{"re": 0.0}', "A0: expected a list of [re, im] pairs"),
+            ("[[0, 0], [1.0], [0, 0], [0, 0]]", "A0[1]: expected an [re, im] pair"),
+            ('[[0, 0], [1.0, "2"], [0, 0], [0, 0]]', "A0[1]: non-numeric entry"),
+            ("[[0, 0], [1e999, 0.0], [0, 0], [0, 0]]", "A0[1]: non-finite entry"),
+        ],
+        ids=["not-a-list", "bad-pair", "string-entry", "overflow-to-inf"],
+    )
+    def test_block_rejections_name_the_entry(self, tmp_path, body, message):
+        doc = minimal_doc()
+        doc.update(d=2, A1=[[1.0, 0.0]] * 4, B0=[[0.0, 0.0]] * 2,
+                   B1=[[0.0, 0.0]] * 2, C0=[[0.0, 0.0]] * 2, C1=[[0.0, 0.0]] * 2)
+        text = json.dumps(doc).replace('"A0": [[0.0, 0.0]]', f'"A0": {body}')
+        assert '"A0": ' + body in text
+        path = tmp_path / "q.json"
+        path.write_text(text)
+        with pytest.raises(QuadrupleFormatError, match=f"^{re.escape(message)}$"):
+            parse_quadruple(path)
+
+    def test_int_and_bool_entries_accepted(self):
+        doc = minimal_doc()
+        doc["A1"] = [[2, False]]
+        doc["D1"] = [[True, -0.0]]
+        q = quadruple_from_dict(doc)
+        assert q.A.L1[0, 0] == 2 and q.D.L1[0, 0] == 1
+        assert np.signbit(q.D.L1[0, 0].imag)
+
+    def test_blocks_match_elementwise_reference(self):
+        # The loop that built each block entry by entry is the reference.
+        doc = quadruple_to_dict(random_state_space(2, d=3, m=2, n=2))
+        doc["A0"][4] = [-0.0, 7]
+        doc["B1"][0] = [True, -0.0]
+        q = quadruple_from_dict(doc)
+        for name, got in (("A0", q.A.L0), ("B1", q.B.L1), ("C0", q.C.L0)):
+            ref = np.array([complex(re, im) for re, im in doc[name]])
+            assert got.tobytes() == ref.reshape(got.shape).tobytes()
 
     def test_round_trip_bit_exact(self, tmp_path):
         q = random_state_space(1, d=3, m=2, n=2)
@@ -142,6 +183,24 @@ class TestStructureCommand:
         # An absurd tolerance fails earlier but still exits cleanly.
         rc = main(["structure", path, "--tol", "0.8"])
         assert rc == 1
+
+    def test_singular_pole_pencil_is_an_error(self, tmp_path, capsys, monkeypatch):
+        # A staircase step that is not square while reading the poles at
+        # infinity is an error, never a silent answer.
+        import strongmin.mcmillan as mcmillan
+        from strongmin.pencil import Pencil
+
+        def singular(q):
+            k = q.d + q.m + q.n
+            return Pencil(np.zeros((k, k)), np.zeros((k, k)))
+
+        monkeypatch.setattr(mcmillan, "infinite_pole_pencil", singular)
+        path = write_system(tmp_path, random_state_space(3, d=2, m=1, n=1))
+        rc = main(["structure", path])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: pencil is singular")
 
     def test_missing_file(self, capsys):
         rc = main(["structure", "/nonexistent/q.json"])
@@ -267,6 +326,37 @@ class TestScaleCommand:
 
 
 class TestVerifyCommand:
+    def test_reduction_checked_once(self, tmp_path, capsys, monkeypatch):
+        # strongly_minimal_reduce returns only after its own strong-minimality
+        # check passes, so verify does not repeat it.
+        import strongmin.cli as cli
+        import strongmin.minreal as minreal
+        from corpus import exact_instance
+
+        path = write_system(tmp_path, exact_instance(10)[0].to_numeric())
+        calls = []
+        check = minreal.is_strongly_minimal
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(minreal, "is_strongly_minimal", counted)
+        # Also any binding the CLI module holds itself.
+        monkeypatch.setattr(cli, "is_strongly_minimal", counted, raising=False)
+        rc = main(["verify", path])
+        assert rc == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out == (
+            "PASS  reduction reaches a strongly minimal quadruple  (d 2 -> 0)\n"
+            "PASS  transfer function preserved up to constant factors"
+            "  (max rel deviation 0.00e+00)\n"
+            "PASS  strongly minimal implies strongly irreducible\n"
+            "PASS  degree-sum identity  (polar 0 = zero 0 + eps 0 + eta 0)\n"
+            "PASS  rank of leading coefficient equals McMillan degree"
+            "  (rank L1 = 0, degree = 0)\n"
+        )
+
     def test_minimal_input_passes(self, tmp_path, capsys):
         q = random_state_space(8, d=3, m=2, n=2)
         path = write_system(tmp_path, q)

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from strongmin.linalg import (
+    as_complex_matrix,
     col_compress,
     eig_pair,
     matrix_rank,
     rank_revealing,
+    rank_with_gap,
     row_compress,
 )
 
@@ -126,3 +128,17 @@ def test_eig_pair_nilpotent_leading():
 
 def test_matrix_rank_empty():
     assert matrix_rank(np.zeros((0, 4))) == 0
+
+
+def test_as_complex_matrix_copy_false_reads_in_place():
+    M = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
+    assert as_complex_matrix(M, copy=False) is M
+    assert as_complex_matrix(M) is not M
+    with pytest.raises(ValueError, match="ndim"):
+        as_complex_matrix(np.ones(3, dtype=complex), copy=False)
+
+
+@pytest.mark.parametrize("rank_fn", [matrix_rank, rank_with_gap, rank_revealing])
+def test_rank_helpers_reject_non_finite(rank_fn):
+    with pytest.raises(ValueError, match="non-finite"):
+        rank_fn(np.array([[np.inf, 0.0], [0.0, 1.0]], dtype=complex))

@@ -1,8 +1,12 @@
+import functools
+
 import numpy as np
 import pytest
 
+from corpus import exact_instance
 from strongmin.gallery import (
     example_polynomial_system,
+    example_rational_system,
     lambda_and_inverse_system,
     polynomial_chain_system,
     random_state_space,
@@ -11,10 +15,17 @@ from strongmin.mcmillan import (
     McMillanStructure,
     NotStronglyMinimal,
     degree_sum_check,
+    infinite_pole_pencil,
     mcmillan_degree,
     rational_structure,
 )
+from strongmin.minreal import is_strongly_minimal, strongly_minimal_reduce
 from strongmin.pencil import system_pencil
+from strongmin.staircase import (
+    infinity_mcmillan_indices,
+    kronecker_structure,
+    split_infinite,
+)
 
 
 def match_points(actual: dict, expected: dict, tol=1e-8):
@@ -203,3 +214,70 @@ class TestOracleAgreement:
         assert numeric.left_minimal == exact.left_minimal
         assert match_points(numeric.finite_points, exact.finite_points)
         assert numeric.mcmillan_degree == exact.mcmillan_degree
+
+
+@functools.lru_cache(maxsize=1)
+def _infinite_pole_systems():
+    """Corpus seeds 0-23 and gallery systems, 18 of the 32 with poles at
+    infinity."""
+    systems = [exact_instance(s)[0].to_numeric() for s in range(24)]
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        e5 = rng.standard_normal(6)
+        e1 = rng.standard_normal(2)
+        systems.append(example_polynomial_system(e5, e1))
+        systems.append(example_rational_system(e5, e1))
+    systems.append(lambda_and_inverse_system())
+    chain = [np.eye(2), np.diag([1.0, 0.0]), np.diag([2.0, 0.0])]
+    systems.append(polynomial_chain_system(chain))
+    return tuple(systems)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_infinite_poles_from_staircase_match_kronecker_report(seed):
+    # rational_structure reads the poles at infinity off one staircase of
+    # the identity-bordered pencil; the full Kronecker analysis of the same
+    # pencil is the reference.
+    with_poles = 0
+    for q in _infinite_pole_systems():
+        if not is_strongly_minimal(q, seed=seed).strongly_minimal:
+            q = strongly_minimal_reduce(q, seed=seed)[0]
+        *_, blocks = split_infinite(infinite_pole_pencil(q))
+        found = tuple(sorted(k - 1 for k in blocks if k >= 2))
+        reference = infinity_mcmillan_indices(
+            kronecker_structure(infinite_pole_pencil(q), seed=seed)
+        )
+        assert found == reference
+        s = rational_structure(q, seed=seed, assume_strongly_minimal=True)
+        assert tuple(sorted(-i for i in s.infinity_indices if i < 0)) == found
+        with_poles += bool(found)
+    assert with_poles >= 10
+
+
+def test_structure_query_svd_count(monkeypatch):
+    # Work guard: one structure query on a planted d = 16 system (4 of its
+    # states uncontrollable) makes 206 SVDs.  A full Kronecker report of the
+    # identity-bordered pencil, or a second SVD per eigenvalue candidate,
+    # pushes it back over the ceiling (308 with both).
+    from strongmin.pencil import state_space_quadruple
+
+    rng = np.random.default_rng(1)
+    d, k = 16, 4
+    F = rng.standard_normal((d, d))
+    F[:k, k:] = 0.0
+    G = rng.standard_normal((d, 2))
+    G[:k] = 0.0
+    H = rng.standard_normal((2, d))
+    D = rng.standard_normal((2, 2))
+    q = state_space_quadruple(F, G, H, D)
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    s = rational_structure(q)
+    assert s.mcmillan_degree == d - k
+    assert len(calls) <= 206

@@ -8,6 +8,7 @@ from strongmin.staircase import (
     infinity_mcmillan_indices,
     kronecker_structure,
     separate_regular_right,
+    split_infinite,
 )
 
 EPS = np.finfo(float).eps
@@ -263,3 +264,41 @@ def test_structure_invariant_under_mobius_rotation():
     assert (2,) in parts  # the Jordan structure of eigenvalue 2 survives
     assert sum(sum(p) for p in rep.finite_eigen.values()) == 4  # 2 + 2 moved
     assert rep.infinite_blocks == ()  # infinity moved to a finite point
+
+
+class TestSplitInfinite:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_block_sizes_at_infinity(self, seed):
+        base = direct_sum(
+            inf_block(3), jordan_block(0.5, 2), inf_block(1), inf_block(2)
+        )
+        P = unitary_equivalent(base, 70 + seed)
+        U, W, T, n_inf, blocks = split_infinite(P)
+        assert blocks == (3, 2, 1)
+        assert n_inf == sum(blocks) == 6
+        np.testing.assert_allclose(U @ P.L0 @ W.conj().T, T.L0, atol=1e-12)
+        np.testing.assert_allclose(U @ P.L1 @ W.conj().T, T.L1, atol=1e-12)
+
+    def test_no_structure_at_infinity(self):
+        *_, n_inf, blocks = split_infinite(jordan_block(2.0, 3))
+        assert (n_inf, blocks) == (0, ())
+
+    def test_singular_pencil_raises(self):
+        # A step that is not square: the constant term loses rank on the
+        # leading-coefficient kernel.
+        P = direct_sum(L_block(1), Pencil(np.zeros((1, 0)), np.zeros((1, 0))))
+        with pytest.raises(StaircaseError, match="singular"):
+            split_infinite(P)
+
+    def test_increasing_kernel_widths_raise(self, monkeypatch):
+        import strongmin.staircase as staircase
+
+        real = staircase._staircase
+
+        def widths_1_2(P, tol, check):
+            U, W, T, _, mw, nw = real(P, tol, check)
+            return U, W, T, [(1, 1), (2, 2)], mw, nw
+
+        monkeypatch.setattr(staircase, "_staircase", widths_1_2)
+        with pytest.raises(StaircaseError, match="increases"):
+            split_infinite(inf_block(3))
