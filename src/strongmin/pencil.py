@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, as_complex_matrix, eig_pair, matrix_rank
+from .linalg import DEFAULT_TOL, _rank_rule, as_complex_matrix, eig_pair, matrix_rank
 
 
 class RotationError(RuntimeError):
@@ -159,21 +159,21 @@ def choose_rotation(P: Pencil, seed: int = 0, tol: float = DEFAULT_TOL) -> Rotat
         raise RotationError("no admissible rotation found")
     floor = tol * max(P.shape) * jscale
 
-    def margin(L):
-        s = np.linalg.svd(L, compute_uv=False)
-        return float(s[m - 1])
-
-    if margin(P.L1) >= 0.05 * jscale:
+    # The margin is the smallest of the m singular values; one SVD of L1
+    # gives both its margin and its rank decision.
+    s1 = np.linalg.svd(P.L1, compute_uv=False)
+    if s1[m - 1] >= 0.05 * jscale:
         return IDENTITY_ROTATION
     rng = np.random.default_rng(seed)
     best = None
-    best_margin = margin(P.L1) if matrix_rank(P.L1, tol, floor=floor) == m else -1.0
+    full_rank = _rank_rule(s1, P.L1.shape, tol, floor)[0] == m
+    best_margin = float(s1[m - 1]) if full_rank else -1.0
     if best_margin > 0:
         best = IDENTITY_ROTATION
     for _ in range(_ROTATION_TRIES):
         theta = rng.uniform(0.0, math.pi)
         c, s = math.cos(theta), math.sin(theta)
-        g = margin(-s * P.L0 + c * P.L1)
+        g = float(np.linalg.svd(-s * P.L0 + c * P.L1, compute_uv=False)[m - 1])
         if g > best_margin:
             best, best_margin = Rotation(c, s), g
         if best_margin >= 0.1 * jscale:

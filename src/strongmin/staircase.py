@@ -17,8 +17,11 @@ also reads the block sizes at infinity.
 pencil: finite eigenvalues with partial multiplicities, infinite block
 sizes, and left/right minimal indices.  Partial multiplicities at a point
 are read off from the nullity increments of the staircase chain matrices at
-that point; minimal indices from the nullity ladder of polynomial null
-vectors of bounded degree.
+that point: the first two from one SVD of the pencil at the point (its
+kernels, and the kernel-width matrix that block elimination of the second
+chain matrix leaves), deeper ones from the chain matrices themselves.
+Minimal indices come from the nullity ladder of polynomial null vectors of
+bounded degree.
 """
 from __future__ import annotations
 
@@ -29,6 +32,7 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     _gap_rule,
+    _rank_rule,
     col_compress,
     matrix_rank,
     rank_with_gap,
@@ -230,47 +234,123 @@ def infinity_mcmillan_indices(report: KroneckerReport) -> tuple:
     return tuple(sorted(k - 1 for k in report.infinite_blocks if k >= 2))
 
 
-def _chain_nullity(Ac, Bc, k, tol, s=None):
+def _chain_floor(Ac, Bc, k, tol):
+    """Rank-threshold floor of the k-stage chain matrix at a point.
+
+    The floor is the joint coefficient scale: at an eigenvalue of full
+    multiplicity ``Ac`` vanishes entirely and a purely relative threshold
+    would see a full-rank noise matrix.
+    """
+    scale = float(np.hypot(np.linalg.norm(Ac), np.linalg.norm(Bc)))
+    return tol * k * max(Ac.shape) * scale
+
+
+def _chain_nullity(Ac, Bc, k, tol):
     """Nullity of the k-stage staircase chain matrix at a point.
 
     The chain matrix stacks ``Ac`` on the block diagonal and ``Bc`` on the
     first block subdiagonal; its kernel holds the length-k Jordan chains at
     the point together with k degrees of freedom per right singular block.
-    The rank threshold is floored at the joint coefficient scale: at an
-    eigenvalue of full multiplicity ``Ac`` vanishes entirely and a purely
-    relative threshold would see a full-rank noise matrix.  ``s``, when
-    given, holds the singular values of the chain matrix, already computed
-    by the caller, and replaces its SVD.
+    Factored for k >= 3, and for k = 2 where :func:`_second_chain_nullity`
+    cannot decide from the kernels alone.
     """
     m, n = Ac.shape
-    shape = (k * m, k * n)
-    scale = float(np.hypot(np.linalg.norm(Ac), np.linalg.norm(Bc)))
-    floor = tol * max(shape) * scale
-    if s is not None:
-        rank, amb = _gap_rule(s, shape, tol, floor)
-        return k * n - rank, amb
-    T = np.zeros(shape, dtype=complex)
+    T = np.zeros((k * m, k * n), dtype=complex)
     for j in range(k):
         T[j * m : (j + 1) * m, j * n : (j + 1) * n] = Ac
         if j + 1 < k:
             T[(j + 1) * m : (j + 2) * m, j * n : (j + 1) * n] = Bc
-    rank, amb = rank_with_gap(T, tol, floor=floor)
+    rank, amb = rank_with_gap(T, tol, floor=_chain_floor(Ac, Bc, k, tol))
     return k * n - rank, amb
 
 
-def _weyr_sequence(Ac, Bc, n_singular, tol, max_len, s1=None):
+def _point_kernels(Ac, Bc, tol):
+    """SVD of ``Ac`` cut to the kernels it can have up to tolerance ``tol``.
+
+    Returns ``(s, Y, X)``: every singular value of ``Ac``, and the trailing
+    left and right singular vectors that the k = 1 chain rank at ``tol``
+    leaves out.  The rank rule is monotone in the tolerance, so these
+    columns hold the left and right kernel bases at every tolerance up to
+    ``tol``; the leading ones are dropped to keep the memory per point to
+    the kernel width.
+    """
+    U, s, Vh = np.linalg.svd(Ac)
+    rank, _ = _rank_rule(s, Ac.shape, tol, _chain_floor(Ac, Bc, 1, tol))
+    return s, U[:, rank:].copy(), Vh[rank:].conj().T.copy()
+
+
+def _second_chain_nullity(Ac, Bc, s, Y, X, tol, floor):
+    """Nullity of the 2-stage chain matrix from the kernels of ``Ac``.
+
+    ``Ac = U S V^H`` has singular values ``s`` and numerical rank r; ``Y``
+    and ``X`` hold its left and right kernel bases (the trailing m - r and
+    n - r singular vectors), and ``floor`` is the chain matrix's threshold
+    floor (:func:`_chain_floor` at k = 2).  Block elimination of the
+    rotated chain matrix ``[[S, 0], [U^H Bc V, S]]`` on the 2r pivots of
+    ``S`` leaves ``[[E, 0], [Y^H Bc X, E]]``, E the sub-threshold singular
+    values of ``Ac``: the chain matrix has rank ``2r + rank(Y^H Bc X)``,
+    and only this kernel-width matrix is factored.
+
+    The elimination is exact but not unitary, so the small singular values
+    of the chain matrix are not those of ``Y^H Bc X``; at the
+    rounding-split points of a defective eigenvalue they differ by more
+    than a factor 10.  Its triangular factors change singular values by a
+    factor of at most ``kappa`` (from ``|Y^H Bc|`` and ``|Bc X|`` over
+    ``sigma_r = s[r-1]``), the pivot block has none below
+    ``sigma_r / (1 + |Bc| / sigma_r)``, and E moves them by at most
+    ``s[r]``.  ``Y^H Bc X`` decides only when these bounds put the pivots
+    and each of its singular values on one side of the chain matrix's own
+    threshold, which lies in ``[floor, sqrt(2) floor]``; otherwise the
+    chain matrix is factored.  Either way the decision is the chain
+    matrix's, up to rounding.
+    """
+    m, n = Ac.shape
+    r = n - X.shape[1]
+    YB = Y.conj().T @ Bc
+    c = np.linalg.svd(YB @ X, compute_uv=False)
+    kappa, pivots = 1.0, np.inf
+    if r:
+        sr = float(s[r - 1])
+        kappa = (1 + np.linalg.norm(YB) / sr) * (1 + np.linalg.norm(Bc @ X) / sr)
+        pivots = sr / (1 + np.linalg.norm(Bc) / sr)
+    e = float(s[r]) if r < s.size else 0.0
+    lo, hi = floor / kappa, np.sqrt(2.0) * floor * kappa
+    if pivots <= hi or e > lo or any(x + e > lo and x - e <= hi for x in c):
+        return _chain_nullity(Ac, Bc, 2, tol)
+    rank, amb = _gap_rule(c, (2 * m, 2 * n), tol, floor) if c.size else (0, False)
+    return 2 * (n - r) - rank, amb
+
+
+def _weyr_sequence(Ac, Bc, n_singular, tol, max_len, kernels):
     """Weyr characteristic at a point from chain-matrix nullity increments.
 
     Each right singular block inflates every nullity increment by one, so
-    ``n_singular`` is subtracted out.  ``s1``, when given, holds the
-    singular values of ``Ac`` (the k = 1 chain matrix).  Returns the
-    (nonincreasing) list of Weyr numbers and an ambiguity flag.
+    ``n_singular`` is subtracted out.  The first two nullities come from one
+    SVD of ``Ac``: ``kernels`` from :func:`_point_kernels` at a tolerance of
+    at least ``tol``, or ``None`` to take it here.  Deeper nullities, needed only when the
+    second Weyr number is positive (a defective or rounding-split point),
+    come from the chain matrices themselves.  Returns the (nonincreasing)
+    list of Weyr numbers and an ambiguity flag.
     """
+    m, n = Ac.shape
+    s, Y, X = kernels if kernels is not None else _point_kernels(Ac, Bc, tol)
+    floor = _chain_floor(Ac, Bc, 1, tol)
+    r, ambiguous = _gap_rule(s, (m, n), tol, floor)
+    if n - r > X.shape[1]:
+        # Kernels cut at a smaller tolerance than this one: take them again.
+        s, Y, X = _point_kernels(Ac, Bc, tol)
+    Y = Y[:, Y.shape[1] - (m - r) :]
+    X = X[:, X.shape[1] - (n - r) :]
     weyr = []
-    ambiguous = False
     prev = 0
     for k in range(1, max_len + 2):
-        nk, amb = _chain_nullity(Ac, Bc, k, tol, s1 if k == 1 else None)
+        if k == 1:
+            nk, amb = n - r, False
+        elif k == 2:
+            # The k-stage floor is k times the one-stage floor, exactly.
+            nk, amb = _second_chain_nullity(Ac, Bc, s, Y, X, tol, 2 * floor)
+        else:
+            nk, amb = _chain_nullity(Ac, Bc, k, tol)
         ambiguous = ambiguous or amb
         w = (nk - prev) - n_singular
         prev = nk
@@ -344,7 +424,7 @@ def _generic_rotation(P: Pencil, r: int, tol: float, seed: int):
     raise StaircaseError("no admissible rotation for structure extraction")
 
 
-def _finite_candidates(P: Pencil, r: int, tol: float, seed: int):
+def _finite_candidates(P: Pencil, r: int, tol: float, seed: int, kernel_tol: float):
     """Candidate eigenvalues of a (possibly singular) pencil.
 
     For pencils of full row (or column) normal rank the candidates are the
@@ -353,8 +433,9 @@ def _finite_candidates(P: Pencil, r: int, tol: float, seed: int):
     r x r pencil, whose spectrum contains the true eigenvalues plus random
     spurious points.  Candidates are validated by a rank drop of P at the
     point; spurious survivors are eliminated later by the multiplicity
-    analysis.  Returns ``(a, s)`` pairs, ``s`` the singular values of
-    ``L0 - a L1`` that validated ``a``: the k = 1 chain matrix at ``a``.
+    analysis.  Returns ``(a, kernels)`` pairs, ``kernels`` the SVD of
+    ``L0 - a L1`` that validated ``a``, cut by :func:`_point_kernels` at
+    ``kernel_tol``: the first two chain nullities at ``a`` read it.
     """
     from .linalg import eig_pair
 
@@ -380,12 +461,12 @@ def _finite_candidates(P: Pencil, r: int, tol: float, seed: int):
     n0, n1 = np.linalg.norm(P.L0), np.linalg.norm(P.L1)
     kept = []
     for a in finite:
-        s = np.linalg.svd(P.L0 - a * P.L1, compute_uv=False)
+        kernels = _point_kernels(P.L0 - a * P.L1, P.L1, kernel_tol)
         # Threshold against the natural magnitude of P(a), not sigma_1:
         # at an eigenvalue of full multiplicity the whole matrix vanishes.
         scale_a = max(n0 + abs(a) * n1, 1e-300)
-        if s[r - 1] <= 1e-6 * scale_a:
-            kept.append((a, s))
+        if kernels[0][r - 1] <= 1e-6 * scale_a:
+            kept.append((a, kernels))
     return kept
 
 
@@ -469,11 +550,14 @@ def kronecker_structure(
     mu_inf = complex(-rot.c / rot.s)
 
     target = r - sum(eps) - sum(eta)
-    candidates = _finite_candidates(Pr, r, tol, seed)
+    # Kernels at each point, cut at the widest tolerance the escalation
+    # reaches.  A candidate clustered alone sits at its own value, so its
+    # kernels are those of the SVD that validated it.
+    kernel_tol = tol * max(mult for _, mult in _ESCALATION)
+    candidates = _finite_candidates(Pr, r, tol, seed, kernel_tol)
     points = [mu_inf] + [a for a, _ in candidates]
-    # A candidate clustered alone sits at its own value, so its k = 1 chain
-    # matrix is the one whose singular values validated it.
-    singular_values = [None] + [s for _, s in candidates]
+    kernels = [_point_kernels(Pr.L0 - mu_inf * Pr.L1, Pr.L1, kernel_tol)]
+    kernels += [k for _, k in candidates]
 
     best = None
     best_key = None
@@ -486,9 +570,14 @@ def kronecker_structure(
         for members in _cluster_members(points, radius):
             has_inf = any(i == 0 for i, _ in members)
             z = mu_inf if has_inf else sum(v for _, v in members) / len(members)
-            s1 = singular_values[members[0][0]] if len(members) == 1 else None
+            # A cluster of several finite candidates takes one SVD at its
+            # centroid; every other z is a point whose kernels are known.
+            if has_inf or len(members) == 1:
+                known = kernels[0 if has_inf else members[0][0]]
+            else:
+                known = None
             weyr, amb = _weyr_sequence(
-                Pr.L0 - z * Pr.L1, Pr.L1, n_eps, tol * tol_mult, r, s1
+                Pr.L0 - z * Pr.L1, Pr.L1, n_eps, tol * tol_mult, r, known
             )
             amb_round = amb_round or amb
             part = _conjugate_partition(weyr)

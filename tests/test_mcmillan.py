@@ -281,3 +281,32 @@ def test_structure_query_svd_count(monkeypatch):
     s = rational_structure(q)
     assert s.mcmillan_degree == d - k
     assert len(calls) <= 206
+
+
+def test_structure_query_svd_shapes(monkeypatch):
+    # Work-shape guard on the planted d = 16 system above: every SVD in a
+    # structure query is of a matrix no taller than the system pencil
+    # (d + m rows).  A 2N x 2N chain matrix per eigenvalue would be twice
+    # that.
+    from strongmin.pencil import state_space_quadruple
+
+    rng = np.random.default_rng(1)
+    d, k = 16, 4
+    F = rng.standard_normal((d, d))
+    F[:k, k:] = 0.0
+    G = rng.standard_normal((d, 2))
+    G[:k] = 0.0
+    H = rng.standard_normal((2, d))
+    D = rng.standard_normal((2, 2))
+    q = state_space_quadruple(F, G, H, D)
+    rows = []
+    svd = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        rows.append(np.shape(a)[0])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    s = rational_structure(q)
+    assert s.mcmillan_degree == d - k
+    assert max(rows) <= d + 2

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from strongmin.pencil import (
+    _ROTATION_TRIES,
     Pencil,
     Rotation,
     RotationError,
@@ -145,6 +146,28 @@ class TestChooseRotation:
         P = Pencil(np.zeros((2, 2)), np.zeros((2, 2)))
         with pytest.raises(RotationError):
             choose_rotation(P, seed=0)
+
+    @pytest.mark.parametrize(
+        "P, svds",
+        [
+            # L1 comfortably full row rank: the identity, from one SVD.
+            (Pencil(np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]])), 1),
+            # Every rotated margin is |c - s| * 1e-3, below the 0.1 * scale
+            # target, so all sampled angles are tried; L1 is factored once.
+            (Pencil(np.diag([1.0, 1e-3]), np.diag([1.0, 1e-3])), 1 + _ROTATION_TRIES),
+        ],
+    )
+    def test_svds_per_call(self, monkeypatch, P, svds):
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        choose_rotation(P, seed=0)
+        assert len(calls) == svds
 
 
 class TestLambdaScale:

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
-from strongmin.linalg import random_unitary
+from strongmin.linalg import DEFAULT_TOL, random_unitary
 from strongmin.pencil import Pencil, generalized_eigenvalues
 from strongmin.staircase import (
+    _ESCALATION,
     StaircaseError,
+    _chain_floor,
+    _chain_nullity,
+    _point_kernels,
+    _second_chain_nullity,
     infinity_mcmillan_indices,
     kronecker_structure,
     separate_regular_right,
@@ -302,3 +307,117 @@ class TestSplitInfinite:
         monkeypatch.setattr(staircase, "_staircase", widths_1_2)
         with pytest.raises(StaircaseError, match="increases"):
             split_infinite(inf_block(3))
+
+
+def _reference_weyr(Ac, Bc, n_singular, tol, max_len, kernels=None):
+    """The Weyr sequence with every chain nullity from its chain matrix."""
+    weyr, prev, ambiguous = [], 0, False
+    for k in range(1, max_len + 2):
+        nk, amb = _chain_nullity(Ac, Bc, k, tol)
+        ambiguous = ambiguous or amb
+        w = (nk - prev) - n_singular
+        prev = nk
+        if w <= 0:
+            break
+        if weyr and w > weyr[-1]:
+            w = weyr[-1]
+        weyr.append(w)
+    return weyr, ambiguous
+
+
+def _check_points_against_chain_matrices(monkeypatch, tol=DEFAULT_TOL):
+    """Make every point ``kronecker_structure`` visits compare, at every
+    escalation multiplier, its Weyr sequence with the chain-matrix one.
+    Returns the list of points checked."""
+    import strongmin.staircase as staircase
+
+    real = staircase._weyr_sequence
+    checked = []
+
+    def compared(Ac, Bc, n_singular, t, max_len, kernels=None):
+        for _, mult in _ESCALATION:
+            got, _ = real(Ac, Bc, n_singular, tol * mult, max_len, kernels)
+            ref, _ = _reference_weyr(Ac, Bc, n_singular, tol * mult, max_len)
+            assert got == ref, (mult, got, ref)
+        checked.append(Ac.shape)
+        return real(Ac, Bc, n_singular, t, max_len, kernels)
+
+    monkeypatch.setattr(staircase, "_weyr_sequence", compared)
+    return checked
+
+
+class TestWeyrFromKernels:
+    """The k = 2 chain nullity read off the kernels at the point equals the
+    one of the 2N x 2N chain matrix, which stays here as the reference."""
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [
+            (jordan_block(0.5, 1), jordan_block(-1.0, 2), jordan_block(2.0, 3)),
+            (jordan_block(1.5, 4), jordan_block(-0.5, 1)),
+            (jordan_block(0.5, 2), jordan_block(0.5, 1), inf_block(2)),
+            (inf_block(3), inf_block(1), jordan_block(-2.0, 2)),
+            (L_block(0), L_block(2), jordan_block(0.7, 2), inf_block(2)),
+            (L_block(1).transpose(), L_block(2).transpose(), jordan_block(1.0, 3)),
+            (L_block(1), L_block(1).transpose(), jordan_block(-1.0, 1), inf_block(3)),
+        ],
+    )
+    @pytest.mark.parametrize("seed", range(2))
+    def test_kronecker_blocks(self, monkeypatch, blocks, seed):
+        checked = _check_points_against_chain_matrices(monkeypatch)
+        P = unitary_equivalent(direct_sum(*blocks), 300 + seed)
+        kronecker_structure(P, seed=seed)
+        assert checked
+
+    def test_corpus_and_gallery(self, monkeypatch):
+        from corpus import exact_instance
+        from strongmin.gallery import (
+            example_polynomial_system,
+            example_rational_system,
+            lambda_and_inverse_system,
+            polynomial_chain_system,
+            random_state_space,
+        )
+        from strongmin.mcmillan import rational_structure
+
+        systems = [exact_instance(s)[0].to_numeric() for s in range(24)]
+        rng = np.random.default_rng(5)
+        for _ in range(2):
+            e5, e1 = rng.standard_normal(6), rng.standard_normal(2)
+            systems.append(example_polynomial_system(e5, e1))
+            systems.append(example_rational_system(e5, e1))
+        systems.append(lambda_and_inverse_system())
+        chain = [np.eye(2), np.diag([1.0, 0.0]), np.diag([2.0, 0.0])]
+        systems.append(polynomial_chain_system(chain))
+        systems.append(random_state_space(0))
+        checked = _check_points_against_chain_matrices(monkeypatch)
+        for q in systems:
+            rational_structure(q)
+        assert len(checked) >= len(systems)
+
+    def test_rounding_split_point(self):
+        # 2.5e-6 from a size-3 Jordan block, Y^H Bc X alone sits above the
+        # k = 2 threshold while the chain matrix has a second null vector:
+        # the bounds must hand this decision to the chain matrix.
+        P = unitary_equivalent(jordan_block(2.0, 3), 5)
+        Ac, Bc, tol = P.L0 - (2.0 + 2.5e-6) * P.L1, P.L1, 1e-12
+        s, Y, X = _point_kernels(Ac, Bc, tol)
+        floor = _chain_floor(Ac, Bc, 2, tol)
+        c = np.linalg.svd(Y.conj().T @ Bc @ X, compute_uv=False)
+        assert X.shape[1] == 1 and c[0] > floor
+        assert _chain_nullity(Ac, Bc, 2, tol)[0] == 2
+        assert _second_chain_nullity(Ac, Bc, s, Y, X, tol, floor)[0] == 2
+
+    def test_large_tolerance(self, monkeypatch):
+        # At tol = 1e-3 the escalation reaches tolerances of 10 and above,
+        # where every singular vector of a point counts as kernel: the
+        # kernels kept per candidate are as wide as the pencil.
+        import strongmin.staircase as staircase
+
+        P = unitary_equivalent(
+            direct_sum(jordan_block(0.5, 3), L_block(1), L_block(2)), 11
+        )
+        rep = kronecker_structure(P, tol=1e-3)
+        monkeypatch.setattr(staircase, "_weyr_sequence", _reference_weyr)
+        assert rep == kronecker_structure(P, tol=1e-3)
+        assert rep.right_minimal == (1, 2)
