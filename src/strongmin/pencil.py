@@ -154,6 +154,8 @@ def choose_rotation(P: Pencil, seed: int = 0, tol: float = DEFAULT_TOL) -> Rotat
     m = P.rows
     if m == 0:
         return IDENTITY_ROTATION
+    if m > P.cols:
+        raise RotationError("no admissible rotation: more rows than columns")
     jscale = P.coefficient_scale()
     if jscale == 0:
         raise RotationError("no admissible rotation found")

@@ -20,8 +20,9 @@ are read off from the nullity increments of the staircase chain matrices at
 that point: the first two from one SVD of the pencil at the point (its
 kernels, and the kernel-width matrix that block elimination of the second
 chain matrix leaves), deeper ones from the chain matrices themselves.
-Minimal indices come from the nullity ladder of polynomial null vectors of
-bounded degree.
+Minimal indices are read off the block sizes of the same staircase loop,
+run on the pencil for the right ones and on its transpose for the left
+ones.
 """
 from __future__ import annotations
 
@@ -68,10 +69,15 @@ class StaircaseForm:
 
     def right_minimal_indices(self) -> tuple:
         """Right minimal indices of the input, from the staircase block data."""
-        eps = []
-        for k, (nu, s) in enumerate(self.block_sizes, start=1):
-            eps.extend([k - 1] * (nu - s))
-        return tuple(sorted(eps))
+        return _right_minimal_indices(self.block_sizes)
+
+
+def _right_minimal_indices(blocks) -> tuple:
+    """Step k of a staircase ends ``nu - s_rank`` blocks ``L_{k-1}``."""
+    eps = []
+    for k, (nu, s) in enumerate(blocks, start=1):
+        eps.extend([k - 1] * (nu - s))
+    return tuple(sorted(eps))
 
 
 def _staircase(P: Pencil, tol: float, check):
@@ -79,9 +85,10 @@ def _staircase(P: Pencil, tol: float, check):
 
     Each step compresses the columns of the window's ``L1``, then the rows
     of ``L0`` on the kernel columns, moving those rows to the bottom; the
-    window shrinks to what is left.  Thresholds are floored at the scale of
-    the whole pencil.  ``check(mw, rB, nu, s_rank)`` (window rows, rank of
-    ``L1``, kernel width, rank of ``L0`` on the kernel) raises
+    window shrinks to what is left.  Columns left without rows form a last
+    step ``(nw, 0)`` of ``L_0`` blocks.  Thresholds are floored at the scale
+    of the whole pencil.  ``check(mw, rB, nu, s_rank)`` (window rows, rank
+    of ``L1``, kernel width, rank of ``L0`` on the kernel) raises
     :class:`StaircaseError` on a step the caller's problem rules out.
     Returns ``(U, W, U P W^H, blocks, mw, nw)``, ``blocks`` holding the
     ``(nu, s_rank)`` of each step and ``(mw, nw)`` the final window.
@@ -94,7 +101,11 @@ def _staircase(P: Pencil, tol: float, check):
     Wh_acc = np.eye(n, dtype=complex)
     blocks = []
     mw, nw = m, n
-    while mw > 0:
+    while nw > 0:
+        if mw == 0:  # columns left without rows
+            blocks.append((nw, 0))
+            nw = 0
+            break
         V, rB = col_compress(B[:mw, :nw], tol, floor)
         nu = nw - rB
         if nu == 0:
@@ -124,12 +135,7 @@ def separate_regular_right(
     :class:`StaircaseError` when the row normal rank test fails and
     propagates a rotation failure.
     """
-    m, n = P.shape
-    if m == 0:
-        return StaircaseForm(
-            np.zeros((0, 0), complex), np.eye(n, dtype=complex), P.copy(), 0, []
-        )
-    if normal_rank(P, tol, seed) < m:
+    if normal_rank(P, tol, seed) < P.rows:
         raise StaircaseError("normal rank deficient rows")
 
     def full_row_rank(mw, rB, nu, s_rank):
@@ -143,9 +149,7 @@ def separate_regular_right(
 
     rot = choose_rotation(P, seed=seed, tol=tol)
     U, W, T, blocks, mw, nw = _staircase(mobius_rotate(P, rot), tol, full_row_rank)
-    if mw == 0 and nw > 0:
-        blocks.append((nw, 0))
-    elif mw != nw:
+    if mw != nw:
         raise StaircaseError("inconsistent deflation count")
     return StaircaseForm(U, W, mobius_rotate(T, rot.inverse()), mw, blocks)
 
@@ -373,40 +377,6 @@ def _conjugate_partition(weyr) -> tuple:
     return tuple(sorted(blocks, reverse=True))
 
 
-def _minimal_indices_pencil(P: Pencil, count: int, tol: float) -> tuple:
-    """Right minimal indices via the polynomial-null-vector degree ladder.
-
-    The dimension of the space of polynomial null vectors of degree <= d
-    equals ``sum_{eps_i <= d} (d - eps_i + 1)``, so successive nullity
-    differences count the indices not exceeding each degree.
-    """
-    if count == 0:
-        return ()
-    m, n = P.shape
-    if np.linalg.norm(P.L0) == 0 and np.linalg.norm(P.L1) == 0:
-        return (0,) * count
-    found = []
-    prev2, prev1 = 0, 0
-    cap = max(min(m, n), 1) + 1
-    for delta in range(cap + 1):
-        R = np.zeros(((delta + 2) * m, (delta + 1) * n), dtype=complex)
-        for j in range(delta + 1):
-            R[j * m : (j + 1) * m, j * n : (j + 1) * n] = P.L0
-            R[(j + 1) * m : (j + 2) * m, j * n : (j + 1) * n] = P.L1
-        ndim = (delta + 1) * n - matrix_rank(R, tol)
-        at_most = ndim - prev1
-        exactly = at_most - (prev1 - prev2)
-        found.extend([delta] * exactly)
-        prev2, prev1 = prev1, ndim
-        if len(found) >= count:
-            break
-    if len(found) != count:
-        raise StaircaseError(
-            f"minimal index ladder found {len(found)} indices, expected {count}"
-        )
-    return tuple(sorted(found))
-
-
 def _generic_rotation(P: Pencil, r: int, tol: float, seed: int):
     """Rotation with s != 0 making the rotated leading coefficient rank r.
 
@@ -425,31 +395,39 @@ def _generic_rotation(P: Pencil, r: int, tol: float, seed: int):
 
 
 def _finite_candidates(P: Pencil, r: int, tol: float, seed: int, kernel_tol: float):
-    """Candidate eigenvalues of a (possibly singular) pencil.
+    """Candidate eigenvalues and minimal indices of a pencil of rank r > 0.
 
-    For pencils of full row (or column) normal rank the candidates are the
-    eigenvalues of the regular part deflated by the staircase; doubly
-    singular pencils fall back to seeded random unitary projections onto an
-    r x r pencil, whose spectrum contains the true eigenvalues plus random
-    spurious points.  Candidates are validated by a rank drop of P at the
-    point; spurious survivors are eliminated later by the multiplicity
-    analysis.  Returns ``(a, kernels)`` pairs, ``kernels`` the SVD of
+    ``P`` is rotated by :func:`_generic_rotation`, so its leading
+    coefficient has rank r and the staircase loop peels only ``L_eps``
+    blocks.  For pencils of full row (or column) normal rank the candidates
+    are the eigenvalues of the regular part deflated by the staircase, and
+    the minimal indices come from its block sizes.  Doubly singular pencils
+    run the loop on ``P`` and on its transpose for the indices, and take
+    candidates from seeded random unitary projections onto an r x r pencil,
+    whose spectrum holds the true eigenvalues plus random spurious points.
+    Candidates are validated by a rank drop of P at the point; spurious
+    survivors are eliminated later by the multiplicity analysis.  Returns
+    ``(kept, eps, eta)``: ``(a, kernels)`` pairs, ``kernels`` the SVD of
     ``L0 - a L1`` that validated ``a``, cut by :func:`_point_kernels` at
-    ``kernel_tol``: the first two chain nullities at ``a`` read it.
+    ``kernel_tol`` (the first two chain nullities at ``a`` read it), and
+    the right and left minimal indices.
     """
     from .linalg import eig_pair
 
     m, n = P.shape
-    if r == 0:
-        return []
     vals = []
     if r in (m, n):
-        X = separate_regular_right(
-            P if r == m else P.transpose(), tol, seed
-        ).regular_part
+        sf = separate_regular_right(P if r == m else P.transpose(), tol, seed)
+        indices = sf.right_minimal_indices()
+        eps, eta = (indices, ()) if r == m else ((), indices)
+        X = sf.regular_part
         if X.rows:
             vals = list(eig_pair(X.L0, X.L1, tol))
     else:
+        eps, eta = (
+            _right_minimal_indices(_staircase(side, tol, lambda *step: None)[3])
+            for side in (P, P.transpose())
+        )
         rng = np.random.default_rng(seed)
         for _ in range(2):
             Q = random_unitary(rng, m)[:, :r]
@@ -467,7 +445,7 @@ def _finite_candidates(P: Pencil, r: int, tol: float, seed: int, kernel_tol: flo
         scale_a = max(n0 + abs(a) * n1, 1e-300)
         if kernels[0][r - 1] <= 1e-6 * scale_a:
             kept.append((a, kernels))
-    return kept
+    return kept, eps, eta
 
 
 def _cluster_members(points, radius_rel):
@@ -511,7 +489,9 @@ def kronecker_structure(
     ordinary finite point mu = -c/s and defective structure at infinity
     cannot leak huge junk eigenvalues into the finite spectrum.  Partial
     multiplicities come from staircase chain nullities at each clustered
-    candidate; minimal indices from polynomial-null-vector degree ladders.
+    candidate; minimal indices (invariant under the rotation) from the
+    block sizes of the staircases run on the rotated copy, their counts
+    checked against the normal rank.
     Candidates are clustered at an escalating radius until the eigenvalue
     count matches the normal-rank bookkeeping and every cluster is well
     separated; failure to reconcile sets ``ambiguous`` instead of raising.
@@ -539,9 +519,6 @@ def kronecker_structure(
             left_minimal=(0,) * m,
         )
     n_eps = n - r
-    n_eta = m - r
-    eps = _minimal_indices_pencil(P, n_eps, tol)
-    eta = _minimal_indices_pencil(P.transpose(), n_eta, tol)
 
     d_lam = default_lambda_scale(P)
     Pn = lambda_scale(P, d_lam)  # eigenvalues scale by d_lam exactly
@@ -549,12 +526,16 @@ def kronecker_structure(
     Pr = mobius_rotate(Pn, rot)
     mu_inf = complex(-rot.c / rot.s)
 
-    target = r - sum(eps) - sum(eta)
     # Kernels at each point, cut at the widest tolerance the escalation
     # reaches.  A candidate clustered alone sits at its own value, so its
     # kernels are those of the SVD that validated it.
     kernel_tol = tol * max(mult for _, mult in _ESCALATION)
-    candidates = _finite_candidates(Pr, r, tol, seed, kernel_tol)
+    candidates, eps, eta = _finite_candidates(Pr, r, tol, seed, kernel_tol)
+    if len(eps) != n_eps or len(eta) != m - r:
+        raise StaircaseError(
+            f"minimal index counts {len(eps)}, {len(eta)} disagree with normal rank {r}"
+        )
+    target = r - sum(eps) - sum(eta)
     points = [mu_inf] + [a for a, _ in candidates]
     kernels = [_point_kernels(Pr.L0 - mu_inf * Pr.L1, Pr.L1, kernel_tol)]
     kernels += [k for _, k in candidates]
@@ -576,8 +557,10 @@ def kronecker_structure(
                 known = kernels[0 if has_inf else members[0][0]]
             else:
                 known = None
+            # A finite cluster cannot hold more eigenvalues than members.
+            max_len = r if has_inf else len(members)
             weyr, amb = _weyr_sequence(
-                Pr.L0 - z * Pr.L1, Pr.L1, n_eps, tol * tol_mult, r, known
+                Pr.L0 - z * Pr.L1, Pr.L1, n_eps, tol * tol_mult, max_len, known
             )
             amb_round = amb_round or amb
             part = _conjugate_partition(weyr)

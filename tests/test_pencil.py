@@ -147,6 +147,11 @@ class TestChooseRotation:
         with pytest.raises(RotationError):
             choose_rotation(P, seed=0)
 
+    def test_more_rows_than_columns_raises(self):
+        # A 3 x 2 leading coefficient has full row rank at no angle.
+        with pytest.raises(RotationError, match="more rows"):
+            choose_rotation(Pencil(np.ones((3, 2)), np.ones((3, 2))))
+
     @pytest.mark.parametrize(
         "P, svds",
         [

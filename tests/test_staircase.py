@@ -84,6 +84,13 @@ class TestSeparateRegularRight:
         self.check_form(P, sf)
         assert sf.right_minimal_indices() == (1,)
 
+    def test_no_rows(self):
+        # Every column of a pencil without rows is an L_0 block.
+        P = Pencil(np.zeros((0, 3)), np.zeros((0, 3)))
+        sf = separate_regular_right(P)
+        assert sf.d_reg == 0
+        assert sf.right_minimal_indices() == (0, 0, 0)
+
     def test_uncontrollable_zero(self):
         P = pencil([[0.0, 0.0]], [[1.0, 0.0]])  # [lambda, 0]
         sf = separate_regular_right(P)
@@ -208,6 +215,94 @@ class TestKroneckerStructure:
         rep = kronecker_structure(P)
         (lam, part), = rep.finite_eigen.items()
         assert part == (1, 1)
+
+
+class TestMinimalIndicesFromStaircase:
+    """Minimal indices come from the staircase block sizes, so no SVD in
+    the minimal-index work is larger than the pencil itself."""
+
+    @pytest.mark.parametrize(
+        "blocks, eps, eta, eigen",
+        [
+            ((L_block(16),), (16,), (), {}),
+            ((L_block(24),), (24,), (), {}),
+            ((L_block(12), L_block(9).transpose()), (12,), (9,), {}),
+            (
+                (L_block(12), L_block(9).transpose(), jordan_block(2.0, 2)),
+                (12,),
+                (9,),
+                {2.0: (2,)},
+            ),
+            ((L_block(0), L_block(3), L_block(0).transpose()), (0, 3), (0,), {}),
+        ],
+    )
+    def test_indices_and_svd_shapes(self, monkeypatch, blocks, eps, eta, eigen):
+        import strongmin.staircase as staircase
+
+        P = unitary_equivalent(direct_sum(*blocks), 17)
+        shapes = []
+        svd, chain_nullity = np.linalg.svd, staircase._chain_nullity
+
+        def recorded(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        def unrecorded(Ac, Bc, k, tol):
+            # The k = 3 chain matrix that confirms the Jordan block of size
+            # 2 is the eigenvalue analysis's, not the minimal indices'.
+            monkeypatch.setattr(np.linalg, "svd", svd)
+            try:
+                return chain_nullity(Ac, Bc, k, tol)
+            finally:
+                monkeypatch.setattr(np.linalg, "svd", recorded)
+
+        monkeypatch.setattr(np.linalg, "svd", recorded)
+        monkeypatch.setattr(staircase, "_chain_nullity", unrecorded)
+        rep = kronecker_structure(P)
+        assert (rep.right_minimal, rep.left_minimal) == (eps, eta)
+        assert max(max(s) for s in shapes) <= max(P.shape)
+        assert rep.dimension_identity(P.rows, P.cols)
+        got = {round(lam.real, 6): part for lam, part in rep.finite_eigen.items()}
+        assert got == eigen
+
+    @pytest.mark.parametrize(
+        "blocks", [(L_block(3),), (L_block(3), L_block(2).transpose())]
+    )
+    def test_index_count_checked(self, monkeypatch, blocks):
+        # An index count that disagrees with the normal rank is an error,
+        # on both the one-sided and the doubly singular path.
+        import strongmin.staircase as staircase
+
+        real = staircase._right_minimal_indices
+        monkeypatch.setattr(
+            staircase, "_right_minimal_indices", lambda b: real(b)[:-1]
+        )
+        with pytest.raises(StaircaseError, match="minimal index counts"):
+            kronecker_structure(unitary_equivalent(direct_sum(*blocks), 3))
+
+
+def test_weyr_ladder_bounded_by_cluster(monkeypatch):
+    # Chain nullities that grow by one with every k would run the Weyr
+    # ladder of each simple eigenvalue to k = r + 1; a finite cluster cannot
+    # hold more eigenvalues than members, so no k above members + 1 = 2 is
+    # requested.
+    import strongmin.staircase as staircase
+
+    requested = []
+
+    def runaway(Ac, Bc, k, tol):
+        requested.append(k)
+        return k, False
+
+    monkeypatch.setattr(staircase, "_chain_nullity", runaway)
+    monkeypatch.setattr(
+        staircase,
+        "_second_chain_nullity",
+        lambda Ac, Bc, s, Y, X, tol, floor: staircase._chain_nullity(Ac, Bc, 2, tol),
+    )
+    P = unitary_equivalent(Pencil(np.diag(np.arange(1.0, 9.0)), np.eye(8)), 3)
+    kronecker_structure(P)
+    assert requested and max(requested) == 2
 
 
 class TestInfinityShift:
