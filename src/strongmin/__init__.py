@@ -24,16 +24,15 @@ from .pencil import (
     constant_pencil,
     default_lambda_scale,
     generalized_eigenvalues,
-    hstack_pencils,
     lambda_scale,
     mobius_rotate,
     normal_rank,
     quadruple_from_constants,
+    split_system_pencil,
     state_space_quadruple,
     system_pencil,
     transfer_eval,
     validate_regular,
-    vstack_pencils,
     zero_pencil,
 )
 from .staircase import (

@@ -10,7 +10,8 @@ Subcommands:
   scaling schemes and write the scaled pencil;
 * ``verify``    -- run the invariant battery on an input quadruple.
 
-Exit codes: 0 success, 1 input/usage error, 2 structural inconsistency
+Exit codes: 0 success, 1 input/usage error (a bad command line or an
+out-of-range numeric argument included), 2 structural inconsistency
 (degree-sum failure), 3 scaling divergence.  JSON reports are byte
 deterministic for fixed (input, flags, seed); timing is printed only in
 text mode to keep them so.  The environment variable ``STRONGMIN_TOL``
@@ -19,6 +20,7 @@ overrides the default rank tolerance.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -64,14 +66,46 @@ EXIT_STRUCTURE = 2
 EXIT_DIVERGENCE = 3
 
 
+def _checked(convert, ok, expected):
+    """Argument type: ``convert`` the text, then require ``ok`` of the value."""
+
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return parse
+
+
+_tolerance = _checked(float, lambda t: 0 < t < 1, "a tolerance with 0 < tol < 1")
+_positive = _checked(float, lambda x: 0 < x < math.inf, "a finite number > 0")
+_nonnegative_int = _checked(int, lambda k: k >= 0, "an integer >= 0")
+_positive_int = _checked(int, lambda k: k >= 1, "an integer >= 1")
+
+
 def _default_tol() -> float:
     env = os.environ.get("STRONGMIN_TOL")
     if env:
         try:
-            return float(env)
-        except ValueError:
-            raise SystemExit(f"invalid STRONGMIN_TOL value {env!r}")
+            return _tolerance(env)
+        except argparse.ArgumentTypeError as exc:
+            print(f"strongmin: error: STRONGMIN_TOL: {exc}", file=sys.stderr)
+            raise SystemExit(EXIT_ERROR)
     return DEFAULT_TOL
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit with ``EXIT_ERROR``.
+
+    argparse's own code for them, 2, is the degree-sum failure code here.
+    """
+
+    def error(self, message):
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
 def _complex_pair(z: complex) -> list:
@@ -371,7 +405,7 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="strongmin",
         description="Strongly minimal linear system matrices: reduction, "
         "balancing, and McMillan structure of rational transfer functions.",
@@ -381,9 +415,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("input", help="quadruple JSON file")
-        p.add_argument("--tol", type=float, default=_default_tol(),
-                       help="relative rank tolerance")
-        p.add_argument("--seed", type=int, default=0,
+        p.add_argument("--tol", type=_tolerance, default=_default_tol(),
+                       help="relative rank tolerance, 0 < tol < 1")
+        p.add_argument("--seed", type=_nonnegative_int, default=0,
                        help="seed for rotations and sample points")
 
     p = sub.add_parser("structure", help="pole/zero/minimal-index report")
@@ -404,19 +438,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scale", help="balance the system pencil")
     common(p)
     p.add_argument("--approach", type=int, choices=(1, 2), default=2)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--c-left", dest="c_left", type=float, default=1.0)
-    p.add_argument("--c-right", dest="c_right", type=float, default=1.0)
-    p.add_argument("--c", type=float, default=1.0)
+    p.add_argument("--alpha", type=_positive, default=1.0)
+    p.add_argument("--c-left", dest="c_left", type=_positive, default=1.0)
+    p.add_argument("--c-right", dest="c_right", type=_positive, default=1.0)
+    p.add_argument("--c", type=_positive, default=1.0)
     p.add_argument("--pow2", action="store_true",
                    help="quantize the scalings to powers of 2")
-    p.add_argument("--max-iter", dest="max_iter", type=int, default=None)
+    p.add_argument("--max-iter", dest="max_iter", type=_positive_int, default=None)
     p.add_argument("--output", help="write the scaled pencil to a file")
     p.set_defaults(func=cmd_scale)
 
     p = sub.add_parser("verify", help="run the invariant battery")
     common(p)
-    p.add_argument("--samples", type=int, default=10,
+    p.add_argument("--samples", type=_positive_int, default=10,
                    help="number of transfer sample points")
     p.set_defaults(func=cmd_verify)
 

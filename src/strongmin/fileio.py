@@ -92,11 +92,12 @@ def quadruple_from_dict(doc: dict) -> SystemQuadruple:
     for field in ("schema", "d", "m", "n"):
         if field not in doc:
             raise QuadrupleFormatError(f"missing field {field!r}")
-    if doc["schema"] != SCHEMA_VERSION:
+    # JSON true and false parse to bool, a subclass of int: reject them.
+    if isinstance(doc["schema"], bool) or doc["schema"] != SCHEMA_VERSION:
         raise QuadrupleFormatError(f"unsupported schema {doc['schema']!r}")
     d, m, n = doc["d"], doc["m"], doc["n"]
     for name, value in (("d", d), ("m", m), ("n", n)):
-        if not isinstance(value, int) or value < 0:
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
             raise QuadrupleFormatError(f"{name}: expected a nonnegative integer")
     shapes = {
         "A0": (d, d), "A1": (d, d),

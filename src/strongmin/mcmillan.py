@@ -102,21 +102,13 @@ def infinite_pole_pencil(q: SystemQuadruple) -> Pencil:
          [0,                I,          0]]
     """
     d, m, n = q.d, q.m, q.n
-    Im, In = np.eye(m), np.eye(n)
-    L0 = np.block(
-        [
-            [q.A.L0, np.zeros((d, n)), np.zeros((d, m))],
-            [np.zeros((m, d)), np.zeros((m, n)), Im],
-            [np.zeros((n, d)), -In, np.zeros((n, m))],
-        ]
-    )
-    L1 = np.block(
-        [
-            [q.A.L1, -q.B.L1, np.zeros((d, m))],
-            [q.C.L1, q.D.L1, np.zeros((m, m))],
-            [np.zeros((n, d + n + m))],
-        ]
-    )
+    N = d + m + n
+    L0 = np.zeros((N, N), dtype=complex)
+    L0[:d, :d] = q.A.L0
+    L0[d : d + m, d + n :] = np.eye(m)
+    L0[d + m :, d : d + n] = -np.eye(n)
+    L1 = np.zeros((N, N), dtype=complex)
+    L1[: d + m, : d + n] = system_pencil(q).L1
     return Pencil(L0, L1)
 
 

@@ -10,7 +10,7 @@ transfer function by constant invertible factors on the left/right.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -19,13 +19,11 @@ from .linalg import DEFAULT_TOL, col_compress
 from .pencil import (
     Pencil,
     SystemQuadruple,
+    constant_pencil,
     generalized_eigenvalues,
-    hstack_pencils,
+    split_system_pencil,
     system_pencil,
     validate_regular,
-    vstack_pencils,
-    zero_pencil,
-    constant_pencil,
 )
 from .staircase import (
     StaircaseError,
@@ -41,20 +39,16 @@ class ReductionError(RuntimeError):
 
 @dataclass
 class ReductionRecord:
-    """Transformations and deflation data of one reduction pass.
+    """Outcome of one reduction pass on one ``side``.
 
-    The structured unitary ``W_tilde`` has the block pattern
-    [[W11, 0, W13], [0, I, 0], [W31, 0, W33]] with ``W33`` invertible; the
-    deflated pencil ``X_deflated`` is regular of size ``d_deflated`` and
-    carries exactly the eigenvalues removed from the system.
+    ``W33`` is the invertible constant factor the pass puts on the transfer
+    function (on the right for ``"controllable"``, on the left for
+    ``"observable"``).  ``d_deflated`` states were removed, carrying exactly
+    the ``deflated_eigenvalues`` (finite or ``inf``).
     """
 
-    U: np.ndarray
-    V: np.ndarray
-    W_tilde: np.ndarray
     W33: np.ndarray
     d_deflated: int
-    X_deflated: Pencil
     side: str
     deflated_eigenvalues: np.ndarray = field(default=None, repr=False)
 
@@ -71,10 +65,9 @@ class MinimalityReport:
 
 
 def controllability_pencil(q: SystemQuadruple) -> Pencil:
-    """The row pencil [A(lambda)  -B(lambda)]."""
-    return Pencil(
-        np.hstack([q.A.L0, -q.B.L0]), np.hstack([q.A.L1, -q.B.L1])
-    )
+    """The row pencil [A(lambda)  -B(lambda)]: the first d rows of S."""
+    S = system_pencil(q)
+    return Pencil(S.L0[: q.d], S.L1[: q.d])
 
 
 def _classified_eigenvalues(X: Pencil, tol: float, seed: int) -> np.ndarray:
@@ -111,10 +104,9 @@ def _classified_eigenvalues(X: Pencil, tol: float, seed: int) -> np.ndarray:
 
 
 def observability_pencil(q: SystemQuadruple) -> Pencil:
-    """The column pencil [A(lambda); C(lambda)]."""
-    return Pencil(
-        np.vstack([q.A.L0, q.C.L0]), np.vstack([q.A.L1, q.C.L1])
-    )
+    """The column pencil [A(lambda); C(lambda)]: the first d columns of S."""
+    S = system_pencil(q)
+    return Pencil(S.L0[:, : q.d], S.L1[:, : q.d])
 
 
 def is_strongly_minimal(
@@ -128,42 +120,36 @@ def is_strongly_minimal(
     """
     validate_regular(q, tol, seed)
     offending = []
-
-    sf_c = separate_regular_right(controllability_pencil(q), tol, seed)
-    e_controllable = sf_c.d_reg == 0
-    if not e_controllable:
-        for v in _classified_eigenvalues(sf_c.regular_part, tol, seed):
-            offending.append((complex(v), "controllable"))
-
-    sf_o = separate_regular_right(observability_pencil(q).transpose(), tol, seed)
-    e_observable = sf_o.d_reg == 0
-    if not e_observable:
-        for v in _classified_eigenvalues(sf_o.regular_part, tol, seed):
-            offending.append((complex(v), "observable"))
-
+    clean = []
+    sides = (
+        ("controllable", controllability_pencil(q)),
+        ("observable", observability_pencil(q).transpose()),
+    )
+    for side, test_pencil in sides:
+        sf = separate_regular_right(test_pencil, tol, seed)
+        clean.append(sf.d_reg == 0)
+        for v in _classified_eigenvalues(sf.regular_part, tol, seed):
+            offending.append((complex(v), side))
+    e_controllable, e_observable = clean
     return MinimalityReport(
-        e_controllable=e_controllable,
-        e_observable=e_observable,
-        strongly_minimal=e_controllable and e_observable,
-        offending_eigenvalues=offending,
+        e_controllable, e_observable, e_controllable and e_observable, offending
     )
 
 
 def _bordered_controllable(q: SystemQuadruple) -> Pencil:
-    """[[A, -B, 0], [C, D, -I]] -- the strong controllability test pencil."""
-    top = hstack_pencils([q.A, Pencil(-q.B.L0, -q.B.L1), zero_pencil(q.d, q.m)])
-    bot = hstack_pencils([q.C, q.D, constant_pencil(-np.eye(q.m))])
-    return vstack_pencils([top, bot])
+    """[S, [0; -I]] = [[A, -B, 0], [C, D, -I]] -- the strong
+    controllability test pencil."""
+    S = system_pencil(q)
+    border = constant_pencil(np.vstack([np.zeros((q.d, q.m)), -np.eye(q.m)]))
+    return Pencil(np.hstack([S.L0, border.L0]), np.hstack([S.L1, border.L1]))
 
 
 def _bordered_observable(q: SystemQuadruple) -> Pencil:
-    """[[A, -B], [C, D], [0, I]] -- the strong observability test pencil."""
-    rows = [
-        hstack_pencils([q.A, Pencil(-q.B.L0, -q.B.L1)]),
-        hstack_pencils([q.C, q.D]),
-        hstack_pencils([zero_pencil(q.n, q.d), constant_pencil(np.eye(q.n))]),
-    ]
-    return vstack_pencils(rows)
+    """[S; [0, I]] = [[A, -B], [C, D], [0, I]] -- the strong observability
+    test pencil."""
+    S = system_pencil(q)
+    border = constant_pencil(np.hstack([np.zeros((q.n, q.d)), np.eye(q.n)]))
+    return Pencil(np.vstack([S.L0, border.L0]), np.vstack([S.L1, border.L1]))
 
 
 def is_strongly_irreducible(
@@ -182,22 +168,6 @@ def is_strongly_irreducible(
     return True
 
 
-def _identity_record(q: SystemQuadruple, side: str) -> ReductionRecord:
-    d, m, n = q.d, q.m, q.n
-    k = n if side == "controllable" else m
-    size = d + k
-    return ReductionRecord(
-        U=np.eye(d, dtype=complex),
-        V=np.eye(d, dtype=complex),
-        W_tilde=np.eye(size, dtype=complex),
-        W33=np.eye(k, dtype=complex),
-        d_deflated=0,
-        X_deflated=zero_pencil(0, 0),
-        side=side,
-        deflated_eigenvalues=np.zeros(0, dtype=complex),
-    )
-
-
 def reduce_controllable(
     q: SystemQuadruple, tol: float = DEFAULT_TOL, seed: int = 0
 ):
@@ -214,7 +184,8 @@ def reduce_controllable(
     sf = separate_regular_right(controllability_pencil(q), tol, seed)
     r = sf.d_reg
     if r == 0:
-        return q, _identity_record(q, "controllable")
+        none = np.zeros(0, dtype=complex)
+        return q, ReductionRecord(np.eye(n, dtype=complex), 0, "controllable", none)
 
     # Rows 0:r of the staircase column transformation, split over the
     # A-columns and the B-columns.
@@ -266,22 +237,9 @@ def reduce_controllable(
         )
 
     X = Pencil(T0[:r, :r], T1[:r, :r])
-    A_c = Pencil(T0[r:d, r:d], T1[r:d, r:d])
-    B_c = Pencil(-T0[r:d, d:], -T1[r:d, d:])
-    C_c = Pencil(T0[d:, r:d], T1[d:, r:d])
-    D_c = Pencil(T0[d:, d:], T1[d:, d:])
-    q_c = SystemQuadruple(A_c, B_c, C_c, D_c)
-    record = ReductionRecord(
-        U=sf.U,
-        V=V,
-        W_tilde=W_tilde,
-        W33=W33,
-        d_deflated=r,
-        X_deflated=X,
-        side="controllable",
-        deflated_eigenvalues=_classified_eigenvalues(X, tol, seed),
-    )
-    return q_c, record
+    q_c = split_system_pencil(Pencil(T0[r:, r:], T1[r:, r:]), d - r)
+    deflated = _classified_eigenvalues(X, tol, seed)
+    return q_c, ReductionRecord(W33, r, "controllable", deflated)
 
 
 def reduce_observable(
@@ -294,18 +252,7 @@ def reduce_observable(
     system and transposing back.
     """
     q_t, rec_t = reduce_controllable(q.transpose(), tol, seed)
-    q_o = q_t.transpose()
-    record = ReductionRecord(
-        U=rec_t.U,
-        V=rec_t.V,
-        W_tilde=rec_t.W_tilde,
-        W33=rec_t.W33.T.copy(),
-        d_deflated=rec_t.d_deflated,
-        X_deflated=rec_t.X_deflated.transpose(),
-        side="observable",
-        deflated_eigenvalues=rec_t.deflated_eigenvalues,
-    )
-    return q_o, record
+    return q_t.transpose(), replace(rec_t, W33=rec_t.W33.T.copy(), side="observable")
 
 
 # Reduction passes strongly_minimal_reduce makes before giving up.

@@ -68,18 +68,6 @@ class Pencil:
         return Pencil(self.L0.copy(), self.L1.copy())
 
 
-def hstack_pencils(pencils) -> Pencil:
-    return Pencil(
-        np.hstack([p.L0 for p in pencils]), np.hstack([p.L1 for p in pencils])
-    )
-
-
-def vstack_pencils(pencils) -> Pencil:
-    return Pencil(
-        np.vstack([p.L0 for p in pencils]), np.vstack([p.L1 for p in pencils])
-    )
-
-
 def constant_pencil(M) -> Pencil:
     """Pencil that is identically equal to the constant matrix ``M``."""
     M = as_complex_matrix(M)
@@ -279,10 +267,34 @@ def state_space_quadruple(F, G, H, D=None) -> SystemQuadruple:
 
 
 def system_pencil(q: SystemQuadruple) -> Pencil:
-    """Assemble S(lambda) = [[A, -B], [C, D]] as a single pencil."""
-    L0 = np.block([[q.A.L0, -q.B.L0], [q.C.L0, q.D.L0]])
-    L1 = np.block([[q.A.L1, -q.B.L1], [q.C.L1, q.D.L1]])
-    return Pencil(L0, L1)
+    """Assemble S(lambda) = [[A, -B], [C, D]] as a single pencil.
+
+    With :func:`split_system_pencil` this is the one place that knows the
+    block layout of ``S`` and the sign of its ``B`` block.
+    """
+    d = q.d
+
+    def assemble(A, B, C, D):
+        S = np.empty((d + q.m, d + q.n), dtype=complex)
+        S[:d, :d], S[:d, d:], S[d:, :d], S[d:, d:] = A, -B, C, D
+        return S
+
+    return Pencil(
+        assemble(q.A.L0, q.B.L0, q.C.L0, q.D.L0),
+        assemble(q.A.L1, q.B.L1, q.C.L1, q.D.L1),
+    )
+
+
+def split_system_pencil(S: Pencil, d: int) -> SystemQuadruple:
+    """Inverse of :func:`system_pencil`: the quadruple whose A block is the
+    leading ``d x d`` block of ``S``."""
+    L0, L1 = S.L0, S.L1
+    return SystemQuadruple(
+        Pencil(L0[:d, :d], L1[:d, :d]),
+        Pencil(-L0[:d, d:], -L1[:d, d:]),
+        Pencil(L0[d:, :d], L1[d:, :d]),
+        Pencil(L0[d:, d:], L1[d:, d:]),
+    )
 
 
 def normal_rank(P: Pencil, tol: float = DEFAULT_TOL, seed: int = 0) -> int:

@@ -477,8 +477,7 @@ def scaled_quadruple(
     pencil below the noise floor of the rest.  A balancing that stops
     unconverged issues the ``RuntimeWarning`` of :func:`balance_pencil`.
     """
-    from .pencil import Pencil as _P
-    from .pencil import SystemQuadruple, system_pencil
+    from .pencil import split_system_pencil, system_pencil
 
     S = system_pencil(q)
     scaled, result = balance_pencil(
@@ -486,13 +485,9 @@ def scaled_quadruple(
         use_lambda_scale=use_lambda_scale, max_iter=max_iter,
     )
     d = q.d
-    A = _P(scaled.L0[:d, :d], scaled.L1[:d, :d])
-    B = _P(-scaled.L0[:d, d:], -scaled.L1[:d, d:])
-    C = _P(scaled.L0[d:, :d], scaled.L1[d:, :d])
-    D = _P(scaled.L0[d:, d:], scaled.L1[d:, d:])
     Dm = np.diag(result.d_left[d:])
     Dn = np.diag(result.d_right[d:])
-    return SystemQuadruple(A, B, C, D), result.d_lambda, Dm, Dn
+    return split_system_pencil(scaled, d), result.d_lambda, Dm, Dn
 
 
 def balance_pencil(

@@ -79,6 +79,21 @@ class TestFileFormat:
         with pytest.raises(QuadrupleFormatError, match=f"^{re.escape(message)}$"):
             parse_quadruple(path)
 
+    @pytest.mark.parametrize("field", ["schema", "d", "m", "n"])
+    def test_boolean_header_field_rejected(self, tmp_path, capsys, field):
+        # JSON true is a bool, which Python counts as the integer 1.
+        doc = minimal_doc()
+        doc[field] = True
+        message = "unsupported schema" if field == "schema" else f"{field}: expected"
+        with pytest.raises(QuadrupleFormatError, match=message):
+            quadruple_from_dict(doc)
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps(doc))
+        assert main(["structure", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_int_and_bool_entries_accepted(self):
         doc = minimal_doc()
         doc["A1"] = [[2, False]]
@@ -394,3 +409,72 @@ def test_env_var_tolerance(tmp_path, capsys, monkeypatch):
     doc = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert doc["tol"] == 1e-10
+
+
+class TestCommandLine:
+    """Usage errors exit 1, like input errors; 2 is kept for a degree-sum
+    failure.  Each rejected argument gets one line on stderr."""
+
+    def _rejected(self, argv, capsys, needle):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and needle in captured.err
+
+    def test_missing_input(self, capsys):
+        self._rejected(["structure"], capsys, "required: input")
+
+    def test_unknown_command(self, capsys):
+        self._rejected(["bogus"], capsys, "invalid choice")
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_zero(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([flag])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("structure", "--tol", "abc"),
+            ("structure", "--tol", "-1"),
+            ("structure", "--tol", "0"),
+            ("structure", "--tol", "1"),
+            ("structure", "--tol", "2"),
+            ("structure", "--tol", "nan"),
+            ("structure", "--tol", "inf"),
+            ("structure", "--seed", "-1"),
+            ("structure", "--seed", "1.5"),
+            ("verify", "--samples", "0"),
+            ("scale", "--alpha", "nan"),
+            ("scale", "--alpha", "0"),
+            ("scale", "--c", "-1"),
+            ("scale", "--c-left", "inf"),
+            ("scale", "--c-right", "0"),
+            ("scale", "--max-iter", "-5"),
+            ("scale", "--max-iter", "0"),
+        ],
+    )
+    def test_bad_numeric_argument(self, tmp_path, capsys, command, flag, value):
+        path = write_system(tmp_path, lambda_and_inverse_system())
+        self._rejected([command, path, flag, value], capsys, f"argument {flag}: expected")
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-1", "2", "nan"])
+    def test_bad_env_tolerance(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("STRONGMIN_TOL", value)
+        path = write_system(tmp_path, lambda_and_inverse_system())
+        self._rejected(["structure", path], capsys, "STRONGMIN_TOL: expected")
+
+    def test_boundary_values_accepted(self):
+        from strongmin.cli import build_parser
+
+        args = build_parser().parse_args([
+            "scale", "q.json", "--tol", "0.999", "--seed", "0", "--max-iter", "1",
+            "--alpha", "1e-300", "--c", "1e300", "--c-left", "2", "--c-right", "3",
+        ])
+        assert (args.tol, args.seed, args.max_iter) == (0.999, 0, 1)
+        assert (args.alpha, args.c, args.c_left, args.c_right) == (1e-300, 1e300, 2.0, 3.0)
+        assert build_parser().parse_args(["verify", "q.json", "--samples", "1"]).samples == 1

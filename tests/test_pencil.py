@@ -16,6 +16,7 @@ from strongmin.pencil import (
     mobius_rotate,
     normal_rank,
     quadruple_from_constants,
+    split_system_pencil,
     state_space_quadruple,
     system_pencil,
     transfer_eval,
@@ -58,6 +59,95 @@ class TestSystemPencil:
                 Pencil(np.zeros((1, 1)), np.zeros((1, 1))),
                 Pencil(np.zeros((1, 1)), np.zeros((1, 1))),
             )
+
+
+def random_quadruple(rng, d, m, n):
+    """Complex quadruple with every coefficient drawn at random, and one
+    negative zero in B when B has entries."""
+
+    def draw(rows, cols):
+        return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+    blocks = [draw(*shape) for shape in [(d, d)] * 2 + [(d, n)] * 2 + [(m, d)] * 2 + [(m, n)] * 2]
+    if d and n:
+        blocks[2][0, 0] = complex(-0.0, 0.0)
+    return quadruple_from_constants(*blocks)
+
+
+LAYOUT_SHAPES = [(3, 2, 2), (4, 1, 3), (0, 2, 1), (2, 0, 1), (2, 1, 0), (2, 0, 0), (0, 1, 1)]
+
+
+class TestSystemMatrixLayout:
+    """S = [[A, -B], [C, D]] and every test pencil cut from it, checked
+    against matrices assembled here block by block."""
+
+    @pytest.mark.parametrize("d, m, n", LAYOUT_SHAPES)
+    def test_split_inverts_assembly_bit_exactly(self, d, m, n):
+        q = random_quadruple(np.random.default_rng(d + 10 * m + 100 * n), d, m, n)
+        S = system_pencil(q)
+        assert S.shape == (d + m, d + n)
+        for coeff in ("L0", "L1"):
+            A, B, C, D = (getattr(getattr(q, name), coeff) for name in "ABCD")
+            hand = np.vstack([np.hstack([A, -B]), np.hstack([C, D])])
+            np.testing.assert_array_equal(getattr(S, coeff), hand)
+        back = split_system_pencil(S, d)
+        for name in "ABCD":
+            for coeff in ("L0", "L1"):
+                got = getattr(getattr(back, name), coeff)
+                want = getattr(getattr(q, name), coeff)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (name, coeff)
+
+    @pytest.mark.parametrize("d, m, n", LAYOUT_SHAPES)
+    def test_test_pencils_are_slices_and_borders_of_S(self, d, m, n):
+        from strongmin.mcmillan import infinite_pole_pencil
+        from strongmin.minreal import (
+            _bordered_controllable,
+            _bordered_observable,
+            controllability_pencil,
+            observability_pencil,
+        )
+
+        q = random_quadruple(np.random.default_rng(7 + d + 10 * m + 100 * n), d, m, n)
+        A0, A1, B0, B1 = q.A.L0, q.A.L1, q.B.L0, q.B.L1
+        C0, C1, D0, D1 = q.C.L0, q.C.L1, q.D.L0, q.D.L1
+        # Pencil coefficients: a constant block M is stored as (L0, L1) = (-M, 0).
+        Zdm, Znd, Zmn = np.zeros((d, m)), np.zeros((n, d)), np.zeros((m, n))
+        Im, In = np.eye(m), np.eye(n)
+        expected = {
+            "[A -B]": (controllability_pencil,
+                       np.hstack([A0, -B0]), np.hstack([A1, -B1])),
+            "[A; C]": (observability_pencil,
+                       np.vstack([A0, C0]), np.vstack([A1, C1])),
+            "[S, [0; -I]]": (
+                _bordered_controllable,
+                np.vstack([np.hstack([A0, -B0, Zdm]), np.hstack([C0, D0, Im])]),
+                np.vstack([np.hstack([A1, -B1, Zdm]), np.hstack([C1, D1, 0 * Im])]),
+            ),
+            "[S; [0, I]]": (
+                _bordered_observable,
+                np.vstack([np.hstack([A0, -B0]), np.hstack([C0, D0]), np.hstack([Znd, -In])]),
+                np.vstack([np.hstack([A1, -B1]), np.hstack([C1, D1]), np.hstack([Znd, 0 * In])]),
+            ),
+            "poles at infinity": (
+                infinite_pole_pencil,
+                np.vstack([
+                    np.hstack([A0, 0 * B0, Zdm]),
+                    np.hstack([0 * C0, Zmn, Im]),
+                    np.hstack([Znd, -In, Zmn.T]),
+                ]),
+                np.vstack([
+                    np.hstack([A1, -B1, Zdm]),
+                    np.hstack([C1, D1, 0 * Im]),
+                    np.zeros((n, d + n + m)),
+                ]),
+            ),
+        }
+        for label, (build, L0, L1) in expected.items():
+            P = build(q)
+            assert P.shape == L0.shape, label
+            np.testing.assert_array_equal(P.L0, L0, err_msg=label)
+            np.testing.assert_array_equal(P.L1, L1, err_msg=label)
 
 
 class TestTransferEval:
