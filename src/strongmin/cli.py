@@ -81,7 +81,11 @@ def _checked(convert, ok, expected):
     return parse
 
 
-_tolerance = _checked(float, lambda t: 0 < t < 1, "a tolerance with 0 < tol < 1")
+# Below unit roundoff the rank rule's threshold sits under the SVD's own
+# backward error, so every rank decision would be noise.
+_TOL_MIN = float(np.finfo(float).eps)
+_tolerance = _checked(float, lambda t: _TOL_MIN <= t < 1,
+                      f"a tolerance with eps = {_TOL_MIN!r} <= tol < 1")
 _positive = _checked(float, lambda x: 0 < x < math.inf, "a finite number > 0")
 _nonnegative_int = _checked(int, lambda k: k >= 0, "an integer >= 0")
 _positive_int = _checked(int, lambda k: k >= 1, "an integer >= 1")
@@ -416,7 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("input", help="quadruple JSON file")
         p.add_argument("--tol", type=_tolerance, default=_default_tol(),
-                       help="relative rank tolerance, 0 < tol < 1")
+                       help="relative rank tolerance, machine epsilon "
+                            "(2.22e-16) <= tol < 1")
         p.add_argument("--seed", type=_nonnegative_int, default=0,
                        help="seed for rotations and sample points")
 

@@ -21,6 +21,8 @@ from strongmin.gallery import (
 )
 from test_acceptance import random_e5_e1
 
+EPS = float(np.finfo(float).eps)
+
 
 def write_system(tmp_path, q, name="sys.json"):
     path = tmp_path / name
@@ -446,6 +448,10 @@ class TestCommandLine:
             ("structure", "--tol", "2"),
             ("structure", "--tol", "nan"),
             ("structure", "--tol", "inf"),
+            # Below machine epsilon every rank decision is rounding noise.
+            ("structure", "--tol", "1e-17"),
+            ("structure", "--tol", "1e-20"),
+            ("structure", "--tol", "1e-300"),
             ("structure", "--seed", "-1"),
             ("structure", "--seed", "1.5"),
             ("verify", "--samples", "0"),
@@ -462,11 +468,21 @@ class TestCommandLine:
         path = write_system(tmp_path, lambda_and_inverse_system())
         self._rejected([command, path, flag, value], capsys, f"argument {flag}: expected")
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-1", "2", "nan"])
+    @pytest.mark.parametrize("value", ["abc", "0", "-1", "2", "nan", "1e-17", "1e-20", "1e-300"])
     def test_bad_env_tolerance(self, tmp_path, capsys, monkeypatch, value):
         monkeypatch.setenv("STRONGMIN_TOL", value)
         path = write_system(tmp_path, lambda_and_inverse_system())
         self._rejected(["structure", path], capsys, "STRONGMIN_TOL: expected")
+
+    @pytest.mark.parametrize("value", [repr(EPS), "1e-15"])
+    def test_smallest_tolerances_accepted(self, tmp_path, capsys, monkeypatch, value):
+        from strongmin.cli import build_parser
+
+        assert build_parser().parse_args(["structure", "q.json", "--tol", value]).tol == float(value)
+        monkeypatch.setenv("STRONGMIN_TOL", value)
+        path = write_system(tmp_path, lambda_and_inverse_system())
+        assert main(["structure", path]) == 0
+        assert json.loads(capsys.readouterr().out)["tol"] == float(value)
 
     def test_boundary_values_accepted(self):
         from strongmin.cli import build_parser

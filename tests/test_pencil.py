@@ -1,8 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
+import strongmin.pencil as pencil_module
+from strongmin.linalg import DEFAULT_TOL, _rank_rule
 from strongmin.pencil import (
+    _BOUND_MIN_ROWS,
     _ROTATION_TRIES,
+    IDENTITY_ROTATION,
+    _MarginBound,
     Pencil,
     Rotation,
     RotationError,
@@ -218,6 +225,182 @@ class TestMobius:
         assert np.allclose(mapped, orig, rtol=1e-9, atol=1e-12)
 
 
+def reference_choose_rotation(P, seed=0, tol=DEFAULT_TOL):
+    """choose_rotation as it was before its angles were bounded: one SVD
+    per sampled angle."""
+    m = P.rows
+    if m == 0:
+        return IDENTITY_ROTATION
+    if m > P.cols:
+        raise RotationError("no admissible rotation: more rows than columns")
+    jscale = P.coefficient_scale()
+    if jscale == 0:
+        raise RotationError("no admissible rotation found")
+    floor = tol * max(P.shape) * jscale
+    s1 = np.linalg.svd(P.L1, compute_uv=False)
+    if s1[m - 1] >= 0.05 * jscale:
+        return IDENTITY_ROTATION
+    rng = np.random.default_rng(seed)
+    best = None
+    full_rank = _rank_rule(s1, P.L1.shape, tol, floor)[0] == m
+    best_margin = float(s1[m - 1]) if full_rank else -1.0
+    if best_margin > 0:
+        best = IDENTITY_ROTATION
+    for _ in range(_ROTATION_TRIES):
+        theta = rng.uniform(0.0, math.pi)
+        c, s = math.cos(theta), math.sin(theta)
+        g = float(np.linalg.svd(-s * P.L0 + c * P.L1, compute_uv=False)[m - 1])
+        if g > best_margin:
+            best, best_margin = Rotation(c, s), g
+        if best_margin >= 0.1 * jscale:
+            break
+    if best is None or best_margin <= floor:
+        raise RotationError("no admissible rotation found")
+    return best
+
+
+def complex_normal(rng, rows, cols):
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+def identity_wins(m, n, seed=0):
+    """Dense L0 and L1 = [I 0]: no sampled angle beats the identity's margin 1."""
+    rng = np.random.default_rng(seed)
+    return complex_normal(rng, m, n), np.eye(m, n)
+
+
+def rank_deficient_leading(m, n, seed=0):
+    """L1 of rank m - 2: the identity is inadmissible, a rotation wins."""
+    rng = np.random.default_rng(seed)
+    L1 = np.eye(m, n)
+    L1[m - 2:, m - 2:] = 0
+    return complex_normal(rng, m, n), L1
+
+
+def weak_leading(m, n, seed=0):
+    """L1 = [I 0] with one diagonal entry 0.02: full row rank, yet rotations
+    towards a dense L0 beat its margin."""
+    rng = np.random.default_rng(seed)
+    L1 = np.eye(m, n)
+    L1[m - 1, m - 1] = 0.02
+    return complex_normal(rng, m, n), L1
+
+
+def nearly_dependent_rows(m, n, seed=0, gap=1e-8):
+    """The last row repeats the first in both coefficients up to ``gap``, so
+    many rotated Gram matrices are too ill-conditioned for Cholesky."""
+    rng = np.random.default_rng(seed)
+    L0, L1 = complex_normal(rng, m, n), np.eye(m, n, dtype=complex)
+    L0[-1] = L0[0] + gap * rng.standard_normal(n)
+    L1[-1] = L1[0] + gap * rng.standard_normal(n)
+    return L0, L1
+
+
+def rotation_or_error(P, seed, choose):
+    try:
+        rot = choose(P, seed=seed)
+    except RotationError as exc:
+        return str(exc)
+    return (rot.c, rot.s)
+
+
+class TestBoundedRotationSampler:
+    """The margin bounds only skip SVDs: every choice is bitwise the one the
+    unbounded sampler makes."""
+
+    # Below the bound cutoff, at it, and well above it.
+    SIZES = [
+        (4, 6),
+        (_BOUND_MIN_ROWS - 1, _BOUND_MIN_ROWS + 1),
+        (_BOUND_MIN_ROWS, _BOUND_MIN_ROWS + 2),
+        (40, 42),
+    ]
+
+    def _assert_same(self, L0, L1, seeds=range(4)):
+        P = Pencil(L0, L1)
+        results = []
+        for seed in seeds:
+            got = rotation_or_error(P, seed, choose_rotation)
+            assert got == rotation_or_error(P, seed, reference_choose_rotation)
+            results.append(got)
+        return results
+
+    @pytest.mark.parametrize("m, n", SIZES)
+    def test_identity_wins(self, m, n):
+        results = self._assert_same(*identity_wins(m, n))
+        assert results == [(1.0, 0.0)] * len(results)
+
+    @pytest.mark.parametrize("m, n", SIZES)
+    def test_rotation_wins_over_rank_deficient_leading(self, m, n):
+        for c, s in self._assert_same(*rank_deficient_leading(m, n)):
+            assert s != 0.0
+
+    @pytest.mark.parametrize("m, n", SIZES)
+    def test_rotation_wins_over_weak_full_rank_leading(self, m, n):
+        L0, L1 = weak_leading(m, n)
+        P = Pencil(L0, L1)
+        s1 = np.linalg.svd(P.L1, compute_uv=False)
+        assert 0 < s1[m - 1] < 0.05 * P.coefficient_scale()
+        for c, s in self._assert_same(L0, L1):
+            assert s != 0.0
+
+    @pytest.mark.parametrize("gap, raises", [(1e-8, False), (1e-10, True)])
+    def test_cholesky_failure_falls_back_to_svd(self, monkeypatch, gap, raises):
+        failures = []
+        zpotrf = pencil_module.lapack.zpotrf
+
+        def counted(*args, **kwargs):
+            R, info = zpotrf(*args, **kwargs)
+            failures.append(info != 0)
+            return R, info
+
+        monkeypatch.setattr(pencil_module.lapack, "zpotrf", counted)
+        results = self._assert_same(*nearly_dependent_rows(40, 42, gap=gap), seeds=[0])
+        assert any(failures)
+        assert isinstance(results[0], str) == raises
+
+
+class TestMarginBound:
+    """The padded bound never falls below LAPACK's smallest singular value."""
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(2024)
+        for trial in range(60):
+            m = int(rng.integers(1, 30))
+            n = m + int(rng.integers(0, 4))
+            kind = trial % 3
+            if kind == 0:  # dense
+                L0, L1 = complex_normal(rng, m, n), complex_normal(rng, m, n)
+            elif kind == 1:  # rank deficient at every angle
+                r = int(rng.integers(0, m))
+                V = complex_normal(rng, r, n)
+                L0, L1 = complex_normal(rng, m, r) @ V, complex_normal(rng, m, r) @ V
+            else:  # graded: singular values spread over ten decades
+                U = np.linalg.qr(complex_normal(rng, m, m))[0]
+                V = np.linalg.qr(complex_normal(rng, n, n))[0][:m]
+                L0 = U @ np.diag(np.logspace(0, -10, m)) @ V
+                L1 = complex_normal(rng, m, n)
+            theta = rng.uniform(0.0, math.pi)
+            yield Pencil(L0, L1), math.cos(theta), math.sin(theta)
+
+    @pytest.mark.parametrize("target", [-math.inf, 0.0, math.inf])
+    def test_bound_is_above_smallest_singular_value(self, target):
+        for P, c, s in self._cases():
+            M = -s * P.L0 + c * P.L1
+            sigma = np.linalg.svd(M, compute_uv=False)[P.rows - 1]
+            assert _MarginBound(P)(M, c, s, target) >= sigma
+
+    def test_bound_is_tight_on_well_conditioned_margins(self):
+        # Not required for correctness, but without it nothing is pruned.
+        L0, L1 = identity_wins(40, 42)
+        P = Pencil(L0, L1)
+        c, s = math.cos(1.0), math.sin(1.0)
+        M = -s * P.L0 + c * P.L1
+        sigma = np.linalg.svd(M, compute_uv=False)[-1]
+        assert _MarginBound(P)(M, c, s, -math.inf) < 1.5 * sigma
+
+
 class TestChooseRotation:
     def test_full_rank_leading_accepts_identity(self):
         P = Pencil(np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]]))
@@ -249,7 +432,11 @@ class TestChooseRotation:
             (Pencil(np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]])), 1),
             # Every rotated margin is |c - s| * 1e-3, below the 0.1 * scale
             # target, so all sampled angles are tried; L1 is factored once.
+            # Below _BOUND_MIN_ROWS no angle is bounded, so each takes an SVD.
             (Pencil(np.diag([1.0, 1e-3]), np.diag([1.0, 1e-3])), 1 + _ROTATION_TRIES),
+            # L1 = [I 0] has margin 1, which no rotated angle beats, and the
+            # margin bound rules every angle out without its SVD.
+            (Pencil(*identity_wins(40, 42)), 1),
         ],
     )
     def test_svds_per_call(self, monkeypatch, P, svds):
