@@ -12,7 +12,7 @@ through the system pencil
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import lapack
@@ -82,10 +82,16 @@ def zero_pencil(rows: int, cols: int) -> Pencil:
 
 @dataclass
 class Rotation:
-    """Plane rotation defining the variable change lambda = (c*mu - s)/(s*mu + c)."""
+    """Plane rotation defining the variable change lambda = (c*mu - s)/(s*mu + c).
+
+    ``margin`` is the smallest singular value of the rotated leading
+    coefficient ``-s*L0 + c*L1`` when :func:`choose_rotation` measured it,
+    else nan; it takes no part in comparisons.
+    """
 
     c: float
     s: float
+    margin: float = field(default=math.nan, compare=False, repr=False)
 
     def __post_init__(self):
         if abs(self.c**2 + self.s**2 - 1.0) > 1e-12:
@@ -204,10 +210,14 @@ def choose_rotation(P: Pencil, seed: int = 0, tol: float = DEFAULT_TOL) -> Rotat
     margin so far cannot win, so its SVD is skipped.  Every winner is still
     picked by its own SVD margin, from the same angle stream and by the same
     comparisons, so the result is bitwise the same as without the bounds.
+
+    The returned rotation carries the winner's SVD margin in ``margin``
+    (inf for a pencil without rows), so :func:`separate_regular_right` can
+    certify its staircase without factoring the rotated coefficient again.
     """
     m = P.rows
     if m == 0:
-        return IDENTITY_ROTATION
+        return Rotation(1.0, 0.0, math.inf)
     if m > P.cols:
         raise RotationError("no admissible rotation: more rows than columns")
     jscale = P.coefficient_scale()
@@ -219,7 +229,7 @@ def choose_rotation(P: Pencil, seed: int = 0, tol: float = DEFAULT_TOL) -> Rotat
     # gives both its margin and its rank decision.
     s1 = np.linalg.svd(P.L1, compute_uv=False)
     if s1[m - 1] >= 0.05 * jscale:
-        return IDENTITY_ROTATION
+        return Rotation(1.0, 0.0, float(s1[m - 1]))
     rng = np.random.default_rng(seed)
     best = None
     full_rank = _rank_rule(s1, P.L1.shape, tol, floor)[0] == m
@@ -244,7 +254,7 @@ def choose_rotation(P: Pencil, seed: int = 0, tol: float = DEFAULT_TOL) -> Rotat
             break
     if best is None or best_margin <= floor:
         raise RotationError("no admissible rotation found")
-    return best
+    return Rotation(best.c, best.s, best_margin)
 
 
 def lambda_scale(P: Pencil, d_lambda: float) -> Pencil:

@@ -8,10 +8,16 @@ part that has full row rank for all lambda including infinity.  The split is
 computed with unitary transformations only: the pencil is first rotated so
 that its leading coefficient has full row rank (no eigenvalues at infinity
 in the rotated variable), after which a single staircase loop of alternating
-column/row compressions deflates the regular part.  ``split_infinite`` runs
-the same loop, unrotated, to deflate the infinite part of a regular pencil;
-its kernel widths are the Weyr characteristic at infinity, from which it
-also reads the block sizes at infinity.
+column/row compressions deflates the regular part.  The rotation's margin
+certifies, once, that every window of the leading coefficient keeps full
+row rank (Cauchy interlacing, with a rounding pad), so each window's kernel
+comes from a Householder QR rather than an SVD.  ``split_infinite`` runs
+the same loop, unrotated and with SVD rank decisions, to deflate the
+infinite part of a regular pencil; its kernel widths are the Weyr
+characteristic at infinity, from which it also reads the block sizes at
+infinity.  Either way each step's column and row transforms are applied as
+the few Householder reflectors of a kernel-width basis, never as dense
+unitaries.
 
 ``kronecker_structure`` reports the complete Kronecker data of an arbitrary
 pencil: finite eigenvalues with partial multiplicities, infinite block
@@ -29,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .linalg import (
     DEFAULT_TOL,
@@ -38,9 +45,10 @@ from .linalg import (
     matrix_rank,
     rank_with_gap,
     random_unitary,
-    row_compress,
 )
 from .pencil import Pencil, mobius_rotate, choose_rotation, normal_rank
+
+_EPS = float(np.finfo(float).eps)
 
 
 class StaircaseError(RuntimeError):
@@ -80,7 +88,67 @@ def _right_minimal_indices(blocks) -> tuple:
     return tuple(sorted(eps))
 
 
-def _staircase(P: Pencil, tol: float, check):
+def _svd_kernel(M, tol, floor):
+    """Kernel basis of ``M`` and its rank, from a full SVD at the package rule."""
+    V, rank = col_compress(M, tol, floor)
+    return V[:, rank:], rank
+
+
+def _qr_kernel(M, tol, floor):
+    """Kernel basis of ``M``, certified to have full row rank, and that rank.
+
+    The trailing ``n - m`` columns of the unitary factor of a Householder QR
+    of ``M^H`` (n x m) span the kernel of ``M``; they are formed by applying
+    the QR's reflectors to ``[0; I]``.  No rank is decided here.
+    """
+    m, n = M.shape
+    qr, tau, _, info = lapack.zgeqrf(M.conj().T)
+    E = np.zeros((n, n - m), dtype=complex)
+    E[m:] = np.eye(n - m)
+    K, _, info2 = lapack.zunmqr("L", "N", qr, tau, E, max(1, n - m))
+    if info or info2:
+        raise StaircaseError(f"LAPACK QR failed (info {info}, {info2})")
+    return K, m
+
+
+def _trailing_reflectors(K):
+    """Householder reflectors of a unitary ``V`` whose trailing columns span
+    the orthonormal columns of ``K`` (n x k).
+
+    ``V = J Q J``, ``J`` the exchange matrix and ``Q`` the unitary factor of
+    a QR of the row-reversed ``K``: its k reflectors are returned in LAPACK
+    form for :func:`_right_apply` and :func:`_left_apply_adjoint`.
+    """
+    qr, tau, _, info = lapack.zgeqrf(K[::-1])
+    if info:
+        raise StaircaseError(f"LAPACK QR failed (info {info})")
+    return qr, tau
+
+
+def _right_apply(X, reflectors):
+    """``X <- X V`` in place, ``V`` from :func:`_trailing_reflectors`."""
+    qr, tau = reflectors
+    XV, _, info = lapack.zunmqr("R", "N", qr, tau, X[:, ::-1], max(1, X.shape[0]))
+    if info:
+        raise StaircaseError(f"LAPACK reflector update failed (info {info})")
+    X[:, ::-1] = XV
+
+
+def _left_apply_adjoint(X, reflectors):
+    """``X <- V^H X`` in place, ``V`` from :func:`_trailing_reflectors`."""
+    qr, tau = reflectors
+    VX, _, info = lapack.zunmqr("L", "C", qr, tau, X[::-1], max(1, X.shape[1]))
+    if info:
+        raise StaircaseError(f"LAPACK reflector update failed (info {info})")
+    X[::-1] = VX
+
+
+def _staircase_floor(P: Pencil, tol: float) -> float:
+    """Threshold floor of every rank decision in a staircase of ``P``."""
+    return tol * max(P.shape) * P.coefficient_scale()
+
+
+def _staircase(P: Pencil, tol: float, check, kernel=_svd_kernel):
     """The staircase loop shared by both deflations.
 
     Each step compresses the columns of the window's ``L1``, then the rows
@@ -90,13 +158,23 @@ def _staircase(P: Pencil, tol: float, check):
     of the whole pencil.  ``check(mw, rB, nu, s_rank)`` (window rows, rank
     of ``L1``, kernel width, rank of ``L0`` on the kernel) raises
     :class:`StaircaseError` on a step the caller's problem rules out.
+
+    ``kernel(L1 window, tol, floor)`` returns a kernel basis of the window
+    and its rank: :func:`_svd_kernel` decides the rank by the package rule;
+    :func:`_qr_kernel` takes full row rank as given, for windows certified
+    by :func:`separate_regular_right`.  The row decision on the kernel
+    columns is a thin SVD of that ``mw x nu`` block at the package rule.
+    Both transforms are applied as the Householder reflectors of a
+    kernel-width (or range-width) basis (:func:`_trailing_reflectors`), so
+    a step forms no ``nw x nw`` or ``mw x mw`` unitary and costs
+    ``O(N^2)`` beyond its kernel.
     Returns ``(U, W, U P W^H, blocks, mw, nw)``, ``blocks`` holding the
     ``(nu, s_rank)`` of each step and ``(mw, nw)`` the final window.
     """
     m, n = P.shape
     A = P.L0.copy()
     B = P.L1.copy()
-    floor = tol * max(m, n) * P.coefficient_scale()
+    floor = _staircase_floor(P, tol)
     U_acc = np.eye(m, dtype=complex)
     Wh_acc = np.eye(n, dtype=complex)
     blocks = []
@@ -106,23 +184,30 @@ def _staircase(P: Pencil, tol: float, check):
             blocks.append((nw, 0))
             nw = 0
             break
-        V, rB = col_compress(B[:mw, :nw], tol, floor)
+        K, rB = kernel(B[:mw, :nw], tol, floor)
         nu = nw - rB
         if nu == 0:
             break
-        A[:, :nw] = A[:, :nw] @ V
-        B[:, :nw] = B[:, :nw] @ V
-        Wh_acc[:, :nw] = Wh_acc[:, :nw] @ V
-        Urc, s_rank = row_compress(A[:mw, rB:nw], tol, floor)
+        cols = _trailing_reflectors(K)
+        for X in (A, B, Wh_acc):
+            _right_apply(X[:, :nw], cols)
+        Ak = A[:mw, rB:nw]
+        Us, sv, _ = np.linalg.svd(Ak, full_matrices=False)
+        s_rank = _rank_rule(sv, Ak.shape, tol, floor)[0]
         check(mw, rB, nu, s_rank)
-        Uw = np.vstack([Urc[s_rank:, :], Urc[:s_rank, :]])
-        A[:mw, :] = Uw @ A[:mw, :]
-        B[:mw, :] = Uw @ B[:mw, :]
-        U_acc[:mw, :] = Uw @ U_acc[:mw, :]
+        if s_rank:
+            rows = _trailing_reflectors(Us[:, :s_rank])
+            for X in (A, B, U_acc):
+                _left_apply_adjoint(X[:mw], rows)
         blocks.append((nu, s_rank))
         mw -= s_rank
         nw = rB
     return U_acc, Wh_acc.conj().T, Pencil(A, B), blocks, mw, nw
+
+
+# Multiple of ``m * max(m, n) * eps * |L1r|_F`` by which the rounding of a
+# staircase can lower a window's smallest singular value below the margin.
+_CERTIFICATE_PAD = 100.0
 
 
 def separate_regular_right(
@@ -134,6 +219,22 @@ def separate_regular_right(
     the original variable (the internal rotation is undone).  Raises
     :class:`StaircaseError` when the row normal rank test fails and
     propagates a rotation failure.
+
+    The rotated leading coefficient ``L1r`` (m x n) has full row rank, and
+    every staircase window must keep it.  That is decided once, not per
+    window: each window of ``L1`` is, up to rounding, a row subset of the
+    unitarily transformed ``L1r`` with kernel columns removed, so by Cauchy
+    interlacing and Weyl its smallest singular value is at least
+    ``margin - pad``.  ``margin`` is ``sigma_m(L1r)`` as measured by
+    :func:`choose_rotation`; ``pad`` is ``_CERTIFICATE_PAD * m * max(m, n)
+    * eps * |L1r|_F``, covering the backward error of up to m steps of
+    Householder updates and the kernel residual each leaves.  Every
+    window's threshold is the floor ``tol * max(m, n) * scale``: its
+    relative term ``tol * max(mw, nw) * sigma_1`` cannot exceed it, since
+    ``scale >= |L1r|_F``.  So ``margin - pad > floor`` certifies full row
+    rank in every window, whose kernel then comes from a QR
+    (:func:`_qr_kernel`).  When the certificate fails, each window takes
+    the SVD rank decision, and a window that lost full row rank raises.
     """
     if normal_rank(P, tol, seed) < P.rows:
         raise StaircaseError("normal rank deficient rows")
@@ -148,7 +249,12 @@ def separate_regular_right(
             )
 
     rot = choose_rotation(P, seed=seed, tol=tol)
-    U, W, T, blocks, mw, nw = _staircase(mobius_rotate(P, rot), tol, full_row_rank)
+    R = mobius_rotate(P, rot)
+    m, n = R.shape
+    pad = _CERTIFICATE_PAD * m * max(m, n) * _EPS * np.linalg.norm(R.L1)
+    certified = rot.margin - pad > _staircase_floor(R, tol)
+    kernel = _qr_kernel if certified else _svd_kernel
+    U, W, T, blocks, mw, nw = _staircase(R, tol, full_row_rank, kernel)
     if mw != nw:
         raise StaircaseError("inconsistent deflation count")
     return StaircaseForm(U, W, mobius_rotate(T, rot.inverse()), mw, blocks)

@@ -2,6 +2,7 @@ import functools
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from corpus import exact_instance
 from strongmin.gallery import (
@@ -108,12 +109,15 @@ class TestRationalStructure:
         assert sorted(-i for i in s.infinity_indices) == [1, 5]
         assert s.mcmillan_degree == 6
         assert degree_sum_check(s)
-        # The zero locations are the roots of e5*e1.
+        # The zero locations are the roots of e5*e1, matched one to one:
+        # sorting both by (real, imag) can pair a point with the conjugate
+        # of its root when the pair's real parts differ in the last digit.
         roots = np.concatenate([np.roots(e5[::-1]), np.roots(e1[::-1])])
-        pts = sorted(s.finite_points, key=lambda z: (z.real, z.imag))
-        roots = sorted(roots, key=lambda z: (z.real, z.imag))
-        for p, r in zip(pts, roots):
-            assert abs(p - r) <= 1e-7 * max(1.0, abs(r))
+        pts = np.array(list(s.finite_points))
+        assert len(pts) == len(roots)
+        cost = np.abs(pts[:, None] - roots[None, :]) / np.maximum(1.0, np.abs(roots))
+        rows, cols = linear_sum_assignment(cost)
+        assert cost[rows, cols].max() <= 1e-7
 
     def test_not_minimal_rejected_without_reduction(self):
         rng = np.random.default_rng(4)

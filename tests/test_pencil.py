@@ -425,6 +425,16 @@ class TestChooseRotation:
         with pytest.raises(RotationError, match="more rows"):
             choose_rotation(Pencil(np.ones((3, 2)), np.ones((3, 2))))
 
+    @pytest.mark.parametrize("make", [identity_wins, rank_deficient_leading, weak_leading])
+    def test_margin_is_rotated_sigma_min(self, make):
+        # The margin a rotation carries is the smallest singular value of
+        # the rotated leading coefficient, which certifies the staircase.
+        P = Pencil(*make(20, 22))
+        rot = choose_rotation(P, seed=1)
+        sigma = np.linalg.svd(mobius_rotate(P, rot).L1, compute_uv=False)[-1]
+        assert rot.margin == pytest.approx(sigma, rel=1e-12)
+        assert choose_rotation(Pencil(np.zeros((0, 2)), np.zeros((0, 2)))).margin == math.inf
+
     @pytest.mark.parametrize(
         "P, svds",
         [

@@ -1,0 +1,160 @@
+"""The structural-equivalence gate ``tools/report_diff.py compare``."""
+import copy
+import importlib.util
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "report_diff.py"
+_spec = importlib.util.spec_from_file_location("report_diff", _PATH)
+report_diff = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(report_diff)
+
+
+def structure_run(points, exit_code=0, offending=()):
+    doc = {
+        "version": "0.1.0",
+        "input_digest": "ab12",
+        "tol": 1e-12,
+        "seed": 0,
+        "minimality": {
+            "e_controllable": True,
+            "e_observable": True,
+            "strongly_minimal": not offending,
+            "offending_eigenvalues": [
+                {"value": v, "side": side} for v, side in offending
+            ],
+        },
+        "reduction": None,
+        "structure": {
+            "normal_rank": 2,
+            "finite_points": [
+                {"point": [z.real, z.imag], "indices": idx} for z, idx in points
+            ],
+            "infinity_indices": [-1],
+            "right_minimal": [],
+            "left_minimal": [],
+            "polar_degree": 2,
+            "zero_degree": 1,
+            "mcmillan_degree": 2,
+        },
+        "degree_sum_ok": True,
+    }
+    return {"exit": exit_code, "stdout": json.dumps(doc) + "\n", "stderr": ""}
+
+
+POINTS = [(0.5 + 1.25j, [1]), (0.5 - 1.25j, [1]), (-2.0 + 0j, [-2])]
+
+
+def dumps(points_b, **kwargs):
+    a = {"reports": {"corpus/1|structure|s0": structure_run(POINTS)}}
+    b = {"reports": {"corpus/1|structure|s0": structure_run(points_b, **kwargs)}}
+    return a, b
+
+
+def moved(rel):
+    return [(z * (1 + rel), idx) for z, idx in POINTS]
+
+
+def test_identical_dumps_have_zero_drift():
+    a, b = dumps(POINTS)
+    assert report_diff.compare_dumps(a, b, 0.0) == ([], 0.0, "corpus/1|structure|s0")
+
+
+def test_rounding_drift_passes():
+    problems, drift, _ = report_diff.compare_dumps(*dumps(moved(1e-12)), 1e-8)
+    assert problems == []
+    assert 0 < drift < 1e-11
+
+
+def test_large_drift_fails():
+    problems, _, _ = report_diff.compare_dumps(*dumps(moved(1e-6)), 1e-8)
+    assert [key for key, _ in problems] == ["corpus/1|structure|s0"]
+    assert "drift" in problems[0][1]
+
+
+def test_changed_index_fails():
+    points = copy.deepcopy(POINTS)
+    points[2] = (points[2][0], [-1])
+    problems, _, _ = report_diff.compare_dumps(*dumps(points), 1e-8)
+    assert len(problems) == 1 and "counts per index" in problems[0][1]
+
+
+def test_missing_point_fails():
+    problems, _, _ = report_diff.compare_dumps(*dumps(POINTS[:2]), 1e-8)
+    assert len(problems) == 1
+
+
+def test_changed_exit_code_fails():
+    problems, _, _ = report_diff.compare_dumps(*dumps(POINTS, exit_code=2), 1e-8)
+    assert len(problems) == 1 and "exit code" in problems[0][1]
+
+
+def test_conjugate_pair_matched_one_to_one():
+    # Listing order, and real parts equal up to the last digit, do not pair
+    # a point with its conjugate.
+    swapped = [POINTS[1], POINTS[0], POINTS[2]]
+    problems, drift, _ = report_diff.compare_dumps(*dumps(swapped), 0.0)
+    assert (problems, drift) == ([], 0.0)
+
+
+def test_offending_eigenvalues_matched_by_side():
+    a = {"reports": {"k": structure_run(POINTS, offending=[([0.0, 0.0], "right"), ("inf", "left")])}}
+    b = {"reports": {"k": structure_run(POINTS, offending=[("inf", "left"), ([1e-13, 0.0], "right")])}}
+    assert report_diff.compare_dumps(a, b, 1e-8)[0] == []
+    c = {"reports": {"k": structure_run(POINTS, offending=[([0.0, 0.0], "left"), ("inf", "left")])}}
+    assert len(report_diff.compare_dumps(a, c, 1e-8)[0]) == 1
+
+
+def test_reduced_quadruples_compared_by_shape_and_counts():
+    doc = {"schema": 1, "d": 1, "A0": [[[0.5, 0.0]]], "deflated": [{"side": "c", "count": 1}]}
+    run = {"exit": 0, "stdout": json.dumps(doc), "stderr": "reduced state dimension 2 -> 1\n"}
+    other = copy.deepcopy(run)
+    other["stdout"] = json.dumps({**doc, "A0": [[[-0.5, 0.1]]]})
+    assert report_diff.compare_runs(run, other, 0.0) == 0.0
+    other["stdout"] = json.dumps({**doc, "deflated": [{"side": "c", "count": 2}]})
+    with pytest.raises(report_diff.Mismatch):
+        report_diff.compare_runs(run, other, 0.0)
+
+
+def test_report_written_by_one_run_only_fails():
+    a, b = dumps(POINTS)
+    b["reports"]["corpus/1|structure|s0"]["stdout"] = ""
+    problems, _, _ = report_diff.compare_dumps(a, b, 1e-8)
+    assert problems == [("corpus/1|structure|s0", "only one run wrote a report")]
+
+
+def test_runs_in_one_dump_only_fail():
+    a, b = dumps(POINTS)
+    b["reports"]["corpus/2|structure|s0"] = structure_run(POINTS)
+    problems, _, _ = report_diff.compare_dumps(a, b, 1e-8)
+    assert problems == [("corpus/2|structure|s0", "only in the second dump")]
+
+
+def test_compare_command_line(tmp_path, capsys):
+    a, b = dumps(moved(1e-12))
+    pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+    pa.write_text(json.dumps(a))
+    pb.write_text(json.dumps(b))
+    assert report_diff.main(["compare", str(pa), str(pb)]) == 0
+    assert "1 runs compared, 0 differ" in capsys.readouterr().out
+    assert report_diff.main(["compare", str(pa), str(pb), "--rel", "0"]) == 1
+
+
+def test_dump_gallery(tmp_path):
+    # One dump of the gallery inputs from this tree: every input under
+    # every command and seed, and the runs that must fail do.
+    out = tmp_path / "gallery.json"
+    subprocess.run(
+        [sys.executable, str(_PATH), "dump", "--src", str(_PATH.parent.parent),
+         "--inputs", "gallery", str(out)],
+        check=True, capture_output=True, timeout=300,
+    )
+    runs = json.loads(out.read_text())["reports"]
+    assert len(runs) == 7 * len(report_diff.COMMANDS) * len(report_diff.SEEDS)
+    assert runs["gallery/polynomial_e5_e1|structure-no-reduce|s0"]["exit"] == 1
+    assert runs["gallery/polynomial_e5_e1|structure|s0"]["exit"] == 0
+    assert report_diff.compare_dumps({"reports": runs}, {"reports": runs}, 0.0)[0] == []

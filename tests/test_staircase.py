@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
-from strongmin.linalg import DEFAULT_TOL, random_unitary
-from strongmin.pencil import Pencil, generalized_eigenvalues
+from strongmin.linalg import DEFAULT_TOL, col_compress, eig_pair, random_unitary, row_compress
+from strongmin.pencil import (
+    Pencil,
+    Rotation,
+    choose_rotation,
+    generalized_eigenvalues,
+    mobius_rotate,
+)
 from strongmin.staircase import (
     _ESCALATION,
     StaircaseError,
+    StaircaseForm,
     _chain_floor,
     _chain_nullity,
     _point_kernels,
@@ -142,6 +150,203 @@ class TestSeparateRegularRight:
         assert len(far) == 2
         self.check_form(P, sf)
         assert sf.right_minimal_indices() == (1, 2)
+
+
+def reference_separate_regular_right(P, tol=DEFAULT_TOL, seed=0):
+    """separate_regular_right as it was with a full SVD of every L1 window
+    and dense unitary updates."""
+    rot = choose_rotation(P, seed=seed, tol=tol)
+    R = mobius_rotate(P, rot)
+    m, n = R.shape
+    A, B = R.L0.copy(), R.L1.copy()
+    floor = tol * max(m, n) * R.coefficient_scale()
+    U_acc, Wh_acc = np.eye(m, dtype=complex), np.eye(n, dtype=complex)
+    blocks = []
+    mw, nw = m, n
+    while nw > 0:
+        if mw == 0:
+            blocks.append((nw, 0))
+            nw = 0
+            break
+        V, rB = col_compress(B[:mw, :nw], tol, floor)
+        nu = nw - rB
+        if nu == 0:
+            break
+        A[:, :nw] = A[:, :nw] @ V
+        B[:, :nw] = B[:, :nw] @ V
+        Wh_acc[:, :nw] = Wh_acc[:, :nw] @ V
+        Urc, s_rank = row_compress(A[:mw, rB:nw], tol, floor)
+        if rB < mw:
+            raise StaircaseError(f"lost full row rank ({rB} < {mw})")
+        Uw = np.vstack([Urc[s_rank:, :], Urc[:s_rank, :]])
+        A[:mw, :] = Uw @ A[:mw, :]
+        B[:mw, :] = Uw @ B[:mw, :]
+        U_acc[:mw, :] = Uw @ U_acc[:mw, :]
+        blocks.append((nu, s_rank))
+        mw -= s_rank
+        nw = rB
+    T = mobius_rotate(Pencil(A, B), rot.inverse())
+    return StaircaseForm(U_acc, Wh_acc.conj().T, T, mw, blocks)
+
+
+def regular_mixture(m, r, seed, n_inf=0):
+    """m x (m + 2) pencil: a regular part of size r (a Jordan block J_2(0.7),
+    ``n_inf`` infinite eigenvalues, random simple eigenvalues) and two L
+    blocks, under random unitary equivalence."""
+    rng = np.random.default_rng(seed)
+    parts = [jordan_block(0.7, 2)] if r >= 2 else []
+    simple = rng.standard_normal(r - len(parts) * 2 - n_inf)
+    if simple.size:
+        parts.append(Pencil(np.diag(simple), np.eye(simple.size)))
+    parts += [inf_block(1)] * n_inf
+    eps1 = int(rng.integers(0, m - r + 1))
+    parts += [L_block(eps1), L_block(m - r - eps1)]
+    return unitary_equivalent(direct_sum(*parts), seed)
+
+
+def planted_controllability(seed, d, n=2):
+    """[lambda*I - F, -G] of a random system whose first d/4 states are
+    uncontrollable: F[:k, k:] = 0 and G[:k] = 0."""
+    rng = np.random.default_rng(seed)
+    k = d // 4
+    F = rng.standard_normal((d, d))
+    F[:k, k:] = 0.0
+    G = rng.standard_normal((d, n))
+    G[:k] = 0.0
+    return Pencil(np.hstack([F, -G]), np.hstack([np.eye(d), np.zeros((d, n))]))
+
+
+def assert_same_regular_eigenvalues(got, ref, jordan=None):
+    """Eigenvalues matched one to one within 1e-9 relative; the rounding
+    split of a Jordan block at ``jordan`` is compared by its centroid."""
+    got, ref = list(got), list(ref)
+    if jordan is not None:
+        for vals in (got, ref):
+            vals.sort(key=lambda v: abs(v - jordan))
+            vals[:2] = [np.mean(vals[:2])]
+        assert abs(got[0] - ref[0]) <= 1e-9
+        got, ref = got[1:], ref[1:]
+    # Infinite eigenvalues may surface as huge finite values after rounding.
+    a = np.array([v for v in got if abs(v) < 1e8])
+    b = np.array([v for v in ref if abs(v) < 1e8])
+    assert (a.size, len(got)) == (b.size, len(ref))
+    if a.size:
+        cost = np.abs(a[:, None] - b[None, :]) / np.maximum(1.0, np.abs(b))[None, :]
+        rows, cols = linear_sum_assignment(cost)
+        assert cost[rows, cols].max() <= 1e-9
+
+
+def assert_equivalent_forms(P, sf, ref, tol=DEFAULT_TOL, jordan=None):
+    """The staircase form ``sf`` against the reference loop's ``ref``."""
+    m, n = P.shape
+    assert sf.block_sizes == ref.block_sizes
+    assert sf.d_reg == ref.d_reg
+    assert np.linalg.norm(sf.U @ sf.U.conj().T - np.eye(m)) < 1e-13
+    assert np.linalg.norm(sf.W @ sf.W.conj().T - np.eye(n)) < 1e-13
+    scale = P.coefficient_scale()
+    for got, coeff in ((sf.transformed.L0, P.L0), (sf.transformed.L1, P.L1)):
+        res = np.linalg.norm(sf.U @ coeff @ sf.W.conj().T - got)
+        assert res < 100 * max(m, n) * EPS * scale
+    r = sf.d_reg
+    leak = np.hypot(
+        np.linalg.norm(sf.transformed.L0[:r, r:]), np.linalg.norm(sf.transformed.L1[:r, r:])
+    )
+    assert leak < tol * max(m, n) * scale
+    X, Xr = sf.regular_part, ref.regular_part
+    assert_same_regular_eigenvalues(
+        eig_pair(X.L0, X.L1), eig_pair(Xr.L0, Xr.L1), jordan
+    )
+
+
+class TestCertifiedStaircase:
+    """separate_regular_right certifies every window's full row rank once,
+    takes QR kernels and applies reflectors; its structure is the one the
+    per-window SVD loop finds."""
+
+    @pytest.mark.parametrize(
+        "m, r, n_inf",
+        [(4, 0, 0), (4, 2, 0), (16, 2, 0), (16, 8, 1), (40, 2, 0), (40, 10, 0), (40, 20, 0)],
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_mixtures_match_reference(self, m, r, n_inf, seed):
+        P = regular_mixture(m, r, 1000 * m + 10 * r + seed, n_inf)
+        sf = separate_regular_right(P, seed=seed)
+        ref = reference_separate_regular_right(P, seed=seed)
+        assert sf.d_reg == r
+        assert_equivalent_forms(P, sf, ref, jordan=0.7 if r >= 2 else None)
+
+    @pytest.mark.parametrize("inst", [100, 101, 102])
+    def test_planted_controllability_matches_reference(self, inst):
+        P = planted_controllability(inst, 32)
+        sf = separate_regular_right(P)
+        assert sf.d_reg == 8
+        assert_equivalent_forms(P, sf, reference_separate_regular_right(P))
+
+    def test_svds_no_wider_than_kernel(self, monkeypatch):
+        # Past choose_rotation, the only SVDs are the row decisions on the
+        # kernel columns: step k factors an mw x nu_k block.  At most one
+        # values-only SVD of the rotated L1 (m x n) is allowed besides.
+        import strongmin.staircase as staircase
+
+        P = regular_mixture(40, 10, 7)
+        shapes, recording = [], []
+        svd, choose = np.linalg.svd, staircase.choose_rotation
+
+        def recorded(a, *args, **kwargs):
+            if recording:
+                shapes.append((np.shape(a), kwargs.get("compute_uv", True)))
+            return svd(a, *args, **kwargs)
+
+        def chosen(*args, **kwargs):
+            rot = choose(*args, **kwargs)
+            recording.append(True)
+            return rot
+
+        monkeypatch.setattr(np.linalg, "svd", recorded)
+        monkeypatch.setattr(staircase, "choose_rotation", chosen)
+        sf = separate_regular_right(P)
+        full = [s for s in shapes if s == (P.shape, False)]
+        assert len(full) <= 1
+        steps = [shape for shape, _ in shapes if (shape, False) not in full]
+        assert [shape[1] for shape in steps] == [nu for nu, _ in sf.block_sizes]
+        assert max(nu for nu, _ in sf.block_sizes) <= 2
+
+    def test_uncertified_rank_loss_raises(self, monkeypatch):
+        # An identity rotation forced onto a rank-deficient L1: its margin
+        # fails the certificate, and the per-window SVD check raises.
+        import strongmin.staircase as staircase
+
+        rng = np.random.default_rng(11)
+        L1 = np.eye(6, 8)
+        L1[5, 5] = 0.0
+        P = Pencil(rng.standard_normal((6, 8)), L1)
+
+        def identity(P, seed=0, tol=DEFAULT_TOL):
+            return Rotation(1.0, 0.0, float(np.linalg.svd(P.L1, compute_uv=False)[-1]))
+
+        monkeypatch.setattr(staircase, "choose_rotation", identity)
+        with pytest.raises(StaircaseError, match=r"lost full row rank \(5 < 6\)"):
+            separate_regular_right(P)
+
+    @pytest.mark.parametrize("m, r, n_inf, seed", [(16, 8, 1, 0), (40, 10, 0, 1)])
+    def test_uncertified_full_rank_matches_reference(self, monkeypatch, m, r, n_inf, seed):
+        # The certificate fails (margin reported as 0), yet every window has
+        # full row rank: the SVD decisions give the reference structure.
+        import strongmin.staircase as staircase
+
+        def no_margin(P, seed=0, tol=DEFAULT_TOL):
+            rot = choose_rotation(P, seed=seed, tol=tol)
+            return Rotation(rot.c, rot.s, 0.0)
+
+        def no_qr(*args):
+            raise AssertionError("QR kernel used without a certificate")
+
+        monkeypatch.setattr(staircase, "choose_rotation", no_margin)
+        monkeypatch.setattr(staircase, "_qr_kernel", no_qr)
+        P = regular_mixture(m, r, seed, n_inf)
+        sf = separate_regular_right(P, seed=seed)
+        ref = reference_separate_regular_right(P, seed=seed)
+        assert_equivalent_forms(P, sf, ref, jordan=0.7)
 
 
 class TestKroneckerStructure:
