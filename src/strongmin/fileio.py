@@ -51,26 +51,27 @@ def _unflatten(data, rows, cols, name):
         raise QuadrupleFormatError(
             f"{name}: expected {rows * cols} entries, got {len(data)}"
         )
-    ok = all(
-        isinstance(pair, list)
-        and len(pair) == 2
-        and isinstance(pair[0], (int, float))
-        and isinstance(pair[1], (int, float))
-        for pair in data
-    )
-    if ok:
-        try:
-            pairs = np.array(data, dtype=float).reshape(-1, 2)
-        except OverflowError:  # an integer beyond the float range
-            ok = False
-        else:
-            ok = bool(np.isfinite(pairs).all())
-    if not ok:
+    # One numpy pass accepts a block of boolean, integer or float pairs.
+    # Its dtype is read before any conversion to float, which would turn
+    # numeric strings into numbers.
+    try:
+        pairs = np.array(data)
+    except ValueError:  # ragged entries
+        pairs = None
+    if (
+        pairs is None
+        or pairs.shape != (len(data), 2)
+        or pairs.dtype.kind not in "biuf"
+        or not np.isfinite(pairs).all()
+    ):
+        # Anything else is named entry by entry; what passes is numeric.
         for k, pair in enumerate(data):
             error = _entry_error(pair)
             if error:
                 raise QuadrupleFormatError(f"{name}[{k}]: {error}")
+        pairs = np.array(data, dtype=float)
     # Each row holds the real and imaginary parts of one complex entry.
+    pairs = pairs.astype(float, copy=False).reshape(-1, 2)
     return pairs.view(complex).reshape(rows, cols)
 
 

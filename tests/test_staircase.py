@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 from scipy.optimize import linear_sum_assignment
 
-from strongmin.linalg import DEFAULT_TOL, col_compress, eig_pair, random_unitary, row_compress
+from strongmin.linalg import (
+    DEFAULT_TOL,
+    _rank_rule,
+    col_compress,
+    eig_pair,
+    random_unitary,
+    row_compress,
+)
 from strongmin.pencil import (
     Pencil,
     Rotation,
@@ -503,7 +511,7 @@ def test_weyr_ladder_bounded_by_cluster(monkeypatch):
     monkeypatch.setattr(
         staircase,
         "_second_chain_nullity",
-        lambda Ac, Bc, s, Y, X, tol, floor: staircase._chain_nullity(Ac, Bc, 2, tol),
+        lambda Ac, Bc, s, Y, X, tol, floor, nB: staircase._chain_nullity(Ac, Bc, 2, tol),
     )
     P = unitary_equivalent(Pencil(np.diag(np.arange(1.0, 9.0)), np.eye(8)), 3)
     kronecker_structure(P)
@@ -609,7 +617,7 @@ class TestSplitInfinite:
             split_infinite(inf_block(3))
 
 
-def _reference_weyr(Ac, Bc, n_singular, tol, max_len, kernels=None):
+def _reference_weyr(Ac, Bc, n_singular, tol, max_len, kernels=None, norms=None):
     """The Weyr sequence with every chain nullity from its chain matrix."""
     weyr, prev, ambiguous = [], 0, False
     for k in range(1, max_len + 2):
@@ -634,13 +642,13 @@ def _check_points_against_chain_matrices(monkeypatch, tol=DEFAULT_TOL):
     real = staircase._weyr_sequence
     checked = []
 
-    def compared(Ac, Bc, n_singular, t, max_len, kernels=None):
+    def compared(Ac, Bc, n_singular, t, max_len, kernels, norms):
         for _, mult in _ESCALATION:
-            got, _ = real(Ac, Bc, n_singular, tol * mult, max_len, kernels)
+            got, _ = real(Ac, Bc, n_singular, tol * mult, max_len, kernels, norms)
             ref, _ = _reference_weyr(Ac, Bc, n_singular, tol * mult, max_len)
             assert got == ref, (mult, got, ref)
         checked.append(Ac.shape)
-        return real(Ac, Bc, n_singular, t, max_len, kernels)
+        return real(Ac, Bc, n_singular, t, max_len, kernels, norms)
 
     monkeypatch.setattr(staircase, "_weyr_sequence", compared)
     return checked
@@ -701,12 +709,13 @@ class TestWeyrFromKernels:
         # the bounds must hand this decision to the chain matrix.
         P = unitary_equivalent(jordan_block(2.0, 3), 5)
         Ac, Bc, tol = P.L0 - (2.0 + 2.5e-6) * P.L1, P.L1, 1e-12
-        s, Y, X = _point_kernels(Ac, Bc, tol)
-        floor = _chain_floor(Ac, Bc, 2, tol)
+        norms = (np.linalg.norm(Ac), np.linalg.norm(Bc))
+        s, Y, X = _point_kernels(Ac, tol, _chain_floor(Ac, 1, tol, norms))
+        floor = _chain_floor(Ac, 2, tol, norms)
         c = np.linalg.svd(Y.conj().T @ Bc @ X, compute_uv=False)
         assert X.shape[1] == 1 and c[0] > floor
         assert _chain_nullity(Ac, Bc, 2, tol)[0] == 2
-        assert _second_chain_nullity(Ac, Bc, s, Y, X, tol, floor)[0] == 2
+        assert _second_chain_nullity(Ac, Bc, s, Y, X, tol, floor, norms[1])[0] == 2
 
     def test_large_tolerance(self, monkeypatch):
         # At tol = 1e-3 the escalation reaches tolerances of 10 and above,
@@ -721,3 +730,171 @@ class TestWeyrFromKernels:
         monkeypatch.setattr(staircase, "_weyr_sequence", _reference_weyr)
         assert rep == kronecker_structure(P, tol=1e-3)
         assert rep.right_minimal == (1, 2)
+
+
+def planted_quadruple(seed, d):
+    """State-space model of a random system whose first d/4 states are
+    uncontrollable; the structure query reduces it to d - d/4 states."""
+    from strongmin.pencil import state_space_quadruple
+
+    rng = np.random.default_rng(seed)
+    k = d // 4
+    F = rng.standard_normal((d, d))
+    F[:k, k:] = 0.0
+    G = rng.standard_normal((d, 2))
+    G[:k] = 0.0
+    H = rng.standard_normal((2, d))
+    D = rng.standard_normal((2, 2))
+    return state_space_quadruple(F, G, H, D)
+
+
+def _reference_point_kernels(Ac, tol, floor):
+    """The point kernels from one full SVD, as every point takes them below
+    the simple-point cutoff."""
+    U, s, Vh = np.linalg.svd(Ac)
+    rank = _rank_rule(s, Ac.shape, tol, floor)[0]
+    return s, U[:, rank:], Vh[rank:].conj().T
+
+
+def _sine_to_line(v, line):
+    """Sine of the angle between unit vectors ``v`` and ``line`` (n x 1)."""
+    return np.linalg.norm(v - line @ (line.conj().T @ v))
+
+
+def _check_points_against_full_svd(monkeypatch):
+    """Make every point kernel and Weyr sequence ``kronecker_structure``
+    takes compare with the full-SVD reference.  Returns the kernel widths of
+    the square points at or above the simple-point cutoff."""
+    import strongmin.staircase as staircase
+
+    point_kernels, weyr_sequence = staircase._point_kernels, staircase._weyr_sequence
+    widths = []
+
+    def compared_kernels(Ac, tol, floor):
+        s, Y, X = point_kernels(Ac, tol, floor)
+        s_ref, Y_ref, X_ref = _reference_point_kernels(Ac, tol, floor)
+        assert (Y.shape, X.shape) == (Y_ref.shape, X_ref.shape)  # the same rank
+        assert np.abs(s - s_ref).max() <= 10 * max(Ac.shape) * EPS * s_ref[0]
+        # LAPACK's own singular vectors are accurate to eps s[0] / gap: at a
+        # point inside a split defective cluster (gap ~ 4e-6 s[0]) two SVDs
+        # of one matrix, rows reversed, disagree by 1.4e-11.  The pair must
+        # be within N times that, as certified, and never beyond 1e-12
+        # where the gap allows.
+        limit = 1e-12
+        if Ac.shape[0] == Ac.shape[1] and X.shape[1] == 1:
+            gap = s_ref[-2] - s_ref[-1]
+            limit = max(limit, max(Ac.shape) * EPS * s_ref[0] / gap)
+        for got, ref in ((Y, Y_ref), (X, X_ref)):
+            assert np.allclose(got.conj().T @ got, np.eye(got.shape[1]), atol=1e-14)
+            if got.shape[1] == 1:
+                assert _sine_to_line(got, ref) <= limit
+        if Ac.shape[0] == Ac.shape[1] >= staircase._SIMPLE_POINT_MIN_ROWS:
+            widths.append(X.shape[1])
+        return s, Y, X
+
+    def compared_weyr(Ac, Bc, n_singular, tol, max_len, kernels, norms):
+        got = weyr_sequence(Ac, Bc, n_singular, tol, max_len, kernels, norms)
+        ref_kernels = _reference_point_kernels(Ac, tol, _chain_floor(Ac, 1, tol, norms))
+        ref = weyr_sequence(Ac, Bc, n_singular, tol, max_len, ref_kernels, norms)
+        assert got == ref
+        return got
+
+    monkeypatch.setattr(staircase, "_point_kernels", compared_kernels)
+    monkeypatch.setattr(staircase, "_weyr_sequence", compared_weyr)
+    return widths
+
+
+class TestSimplePointKernels:
+    """At a square point of at least ``_SIMPLE_POINT_MIN_ROWS`` rows and
+    rank N - 1, the kernel pair comes from one LU and inverse iteration,
+    certified against the singular-value gap; the full SVD stays here as
+    the reference."""
+
+    @pytest.mark.parametrize("d", [32, 48])
+    def test_planted_points_match_full_svd(self, monkeypatch, d):
+        from strongmin.mcmillan import rational_structure
+
+        widths = _check_points_against_full_svd(monkeypatch)
+        s = rational_structure(planted_quadruple(d, d))
+        assert s.mcmillan_degree == d - d // 4
+        assert widths.count(1) >= 2 * (d - d // 4)
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [
+            (jordan_block(0.5, 1), jordan_block(-1.0, 2), jordan_block(2.0, 3)),
+            (jordan_block(1.5, 4), jordan_block(-0.5, 1)),
+            (jordan_block(0.5, 2), jordan_block(0.5, 1), inf_block(2)),
+            (inf_block(3), inf_block(1), jordan_block(-2.0, 2)),
+            (L_block(0), L_block(2), jordan_block(0.7, 2), inf_block(2)),
+            (L_block(1).transpose(), L_block(2).transpose(), jordan_block(1.0, 3)),
+            (L_block(1), L_block(1).transpose(), jordan_block(-1.0, 1), inf_block(3)),
+        ],
+    )
+    def test_enlarged_kronecker_blocks(self, monkeypatch, blocks):
+        # The TestWeyrFromKernels mixtures with 24 simple eigenvalues added,
+        # so square ones reach the cutoff with their defective points.
+        # Regular ones visit a simple point at each added eigenvalue.
+        widths = _check_points_against_full_svd(monkeypatch)
+        simple = np.random.default_rng(len(blocks)).uniform(3.0, 9.0, 24)
+        base = direct_sum(*blocks, Pencil(np.diag(simple), np.eye(24)))
+        rep = kronecker_structure(unitary_equivalent(base, 400))
+        if rep.normal_rank == base.rows == base.cols:
+            assert widths.count(1) >= 24
+
+    def test_exact_zero_pivot_takes_full_svd(self):
+        import strongmin.staircase as staircase
+
+        n = 2 * staircase._SIMPLE_POINT_MIN_ROWS
+        Ac = np.diag(np.arange(1.0, n + 1)).astype(complex) - 3.0 * np.eye(n)
+        assert lapack.zgetrf(Ac)[2] == 3  # U[2, 2] is exactly zero
+        floor = _chain_floor(Ac, 1, 1e-8, (np.linalg.norm(Ac), np.sqrt(n)))
+        assert staircase._simple_point_kernels(Ac, 1e-8, floor) is None
+        got = _point_kernels(Ac, 1e-8, floor)
+        ref = _reference_point_kernels(Ac, 1e-8, floor)
+        assert ref[2].shape == (n, 1)
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+    def test_failed_certificate_takes_full_svd(self):
+        # sigma_N = 1e-10 is below the rank threshold but far above rounding,
+        # so |Ac x| >= sigma_N exceeds what the certificate allows.
+        import strongmin.staircase as staircase
+
+        n = staircase._SIMPLE_POINT_MIN_ROWS + 8
+        rng = np.random.default_rng(3)
+        sv = np.append(np.linspace(2.0, 1.0, n - 1), 1e-10)
+        Ac = random_unitary(rng, n) @ np.diag(sv) @ random_unitary(rng, n)
+        floor = _chain_floor(Ac, 1, 1e-8, (np.linalg.norm(Ac), 1.0))
+        assert staircase._simple_point_kernels(Ac, 1e-8, floor) is None
+        got = _point_kernels(Ac, 1e-8, floor)
+        ref = _reference_point_kernels(Ac, 1e-8, floor)
+        assert ref[2].shape == (n, 1)
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+    def test_no_full_svd_at_simple_points(self, monkeypatch):
+        # SVD-shape guard: on planted d = 48 every point is square with at
+        # least 36 rows, above the cutoff, and none of kernel width at most
+        # one takes an SVD with vectors.
+        import strongmin.staircase as staircase
+        from strongmin.mcmillan import rational_structure
+
+        svd, point_kernels = np.linalg.svd, staircase._point_kernels
+        taken, simple = [], []
+
+        def recorded(a, *args, **kwargs):
+            taken.append((np.shape(a), kwargs.get("compute_uv", True)))
+            return svd(a, *args, **kwargs)
+
+        def watched(Ac, *args):
+            taken.clear()
+            s, Y, X = point_kernels(Ac, *args)
+            n = Ac.shape[0]
+            if Ac.shape == (n, n) and X.shape[1] <= 1:
+                simple.append(list(taken))
+            return s, Y, X
+
+        monkeypatch.setattr(np.linalg, "svd", recorded)
+        monkeypatch.setattr(staircase, "_point_kernels", watched)
+        rational_structure(planted_quadruple(48, 48))
+        assert len(simple) >= 2 * 36
+        assert all(uv is False for calls in simple for _, uv in calls)
