@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import DEFAULT_TOL
-from .minreal import MinimalityReport, is_strongly_minimal, strongly_minimal_reduce
+from .minreal import MinimalityReport, _minimality, _strongly_minimal_reduce
 from .pencil import Pencil, SystemQuadruple, system_pencil
 from .staircase import infinity_mcmillan_indices, kronecker_structure, split_infinite
 
@@ -138,13 +138,13 @@ def rational_structure(
     """
     report = records = None
     if not assume_strongly_minimal:
-        report = is_strongly_minimal(q, tol, seed)
+        report, form = _minimality(q, tol, seed)
         if not report.strongly_minimal:
             if not reduce_first:
                 raise NotStronglyMinimal(
                     "not strongly minimal; enable reduction or reduce first"
                 )
-            q, _, _, records = strongly_minimal_reduce(q, tol, seed)
+            q, _, _, records = _strongly_minimal_reduce(q, tol, seed, form=form)
 
     S = system_pencil(q)
     rep_S = kronecker_structure(S, tol, seed)

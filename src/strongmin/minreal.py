@@ -118,22 +118,29 @@ def is_strongly_minimal(
     a quadruple is strongly minimal exactly when both counts are zero.  The
     offending eigenvalues (finite or ``inf``) are listed with their side.
     """
+    return _minimality(q, tol, seed)[0]
+
+
+def _minimality(q: SystemQuadruple, tol: float, seed: int):
+    """:func:`is_strongly_minimal`, plus the staircase form of the
+    controllability pencil, which a first reduction pass on ``q`` reuses."""
     validate_regular(q, tol, seed)
     offending = []
-    clean = []
+    forms = []
     sides = (
         ("controllable", controllability_pencil(q)),
         ("observable", observability_pencil(q).transpose()),
     )
     for side, test_pencil in sides:
         sf = separate_regular_right(test_pencil, tol, seed)
-        clean.append(sf.d_reg == 0)
+        forms.append(sf)
         for v in _classified_eigenvalues(sf.regular_part, tol, seed):
             offending.append((complex(v), side))
-    e_controllable, e_observable = clean
-    return MinimalityReport(
+    e_controllable, e_observable = (sf.d_reg == 0 for sf in forms)
+    report = MinimalityReport(
         e_controllable, e_observable, e_controllable and e_observable, offending
     )
+    return report, forms[0]
 
 
 def _bordered_controllable(q: SystemQuadruple) -> Pencil:
@@ -180,8 +187,15 @@ def reduce_controllable(
     E-observability of the input is preserved.
     """
     validate_regular(q, tol, seed)
-    d, m, n = q.d, q.m, q.n
     sf = separate_regular_right(controllability_pencil(q), tol, seed)
+    return _deflate_controllable(q, sf, tol, seed)
+
+
+def _deflate_controllable(q: SystemQuadruple, sf, tol: float, seed: int):
+    """:func:`reduce_controllable` of a quadruple that passed
+    ``validate_regular``, given the staircase form ``sf`` of its
+    controllability pencil."""
+    d, m, n = q.d, q.m, q.n
     r = sf.d_reg
     if r == 0:
         none = np.zeros(0, dtype=complex)
@@ -277,6 +291,15 @@ def strongly_minimal_reduce(
     if order not in ("co", "oc"):
         raise ValueError("order must be 'co' or 'oc'")
     validate_regular(q, tol, seed)
+    return _strongly_minimal_reduce(q, tol, seed, order)
+
+
+def _strongly_minimal_reduce(q, tol, seed, order="co", form=None):
+    """:func:`strongly_minimal_reduce` of a quadruple that passed
+    ``validate_regular``.  ``form``, when given, is the staircase form of
+    its controllability pencil (from :func:`_minimality`), so the
+    controllable pass on ``q`` itself neither validates nor factors again.
+    """
     m, n = q.m, q.n
     Wl = np.eye(m, dtype=complex)
     Wr = np.eye(n, dtype=complex)
@@ -285,7 +308,14 @@ def strongly_minimal_reduce(
     for _ in range(_MAX_PASSES):
         for step in order:
             if step == "c":
-                current, rec = reduce_controllable(current, tol, seed)
+                if current is q:
+                    if form is None:
+                        form = separate_regular_right(
+                            controllability_pencil(q), tol, seed
+                        )
+                    current, rec = _deflate_controllable(q, form, tol, seed)
+                else:
+                    current, rec = reduce_controllable(current, tol, seed)
                 Wr = Wr @ rec.W33
             else:
                 current, rec = reduce_observable(current, tol, seed)
