@@ -210,6 +210,12 @@ def cmd_structure(args) -> int:
     except _COMPUTE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    if structure.ambiguous:
+        print(
+            "warning: an eigenvalue clustering decision was a close call; "
+            "the structure may be wrong at this tolerance",
+            file=sys.stderr,
+        )
     records = structure.reduction
     reduction = None
     if records is not None:

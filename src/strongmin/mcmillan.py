@@ -42,9 +42,10 @@ class McMillanStructure:
     the zero degree counts zeros, both including infinity, and the McMillan
     degree equals the polar degree.
 
-    ``minimality`` (the input's ``MinimalityReport``, unless assumed) and
-    ``reduction`` (the ``ReductionRecord`` list, if one ran) are kept out
-    of comparisons.
+    ``minimality`` (the input's ``MinimalityReport``, unless assumed),
+    ``reduction`` (the ``ReductionRecord`` list, if one ran) and
+    ``ambiguous`` (set when either Kronecker report it was read from is
+    flagged ambiguous) are kept out of comparisons.
     """
 
     normal_rank: int
@@ -58,6 +59,7 @@ class McMillanStructure:
         default=None, compare=False, repr=False
     )
     reduction: list | None = field(default=None, compare=False, repr=False)
+    ambiguous: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         pol = 0
@@ -150,6 +152,8 @@ def rational_structure(
     rep_S = kronecker_structure(S, tol, seed)
     normal_rank = rep_S.normal_rank - q.d
 
+    ambiguous = rep_S.ambiguous
+
     finite = {}
     match_tol = 1e-8
     for lam, part in rep_S.finite_eigen.items():
@@ -157,6 +161,7 @@ def rational_structure(
 
     if q.d:
         rep_A = kronecker_structure(q.A, tol, seed)
+        ambiguous = ambiguous or rep_A.ambiguous
         for lam, part in rep_A.finite_eigen.items():
             _merge_point(finite, lam, [-int(k) for k in part], match_tol)
 
@@ -175,4 +180,5 @@ def rational_structure(
         left_minimal=rep_S.left_minimal,
         minimality=report,
         reduction=records,
+        ambiguous=ambiguous,
     )

@@ -215,39 +215,51 @@ def choose_rotation(P: Pencil, seed: int = 0, tol: float = DEFAULT_TOL) -> Rotat
     (inf for a pencil without rows), so :func:`separate_regular_right` can
     certify its staircase without factoring the rotated coefficient again.
     """
-    m = P.rows
-    if m == 0:
-        return Rotation(1.0, 0.0, math.inf)
-    if m > P.cols:
+    if P.rows > P.cols:
         raise RotationError("no admissible rotation: more rows than columns")
+    return _choose_rotation(P, P.rows, seed, tol)
+
+
+def _choose_rotation(P: Pencil, rank: int, seed: int, tol: float) -> Rotation:
+    """:func:`choose_rotation` for a target rank ``rank <= min(m, n)``: the
+    sampled angle maximising ``sigma_rank`` of the rotated leading
+    coefficient, which then has rank ``rank``.  A pencil of full column
+    rank target is sampled through its transpose (the rotation acts on the
+    coefficients alone, so it is the same), so the margin bounds apply
+    whenever the target is the full row or column rank."""
+    if rank == 0:
+        return Rotation(1.0, 0.0, math.inf)
+    if rank == P.cols < P.rows:
+        P = P.transpose()
+    m = P.rows
     jscale = P.coefficient_scale()
     if jscale == 0:
         raise RotationError("no admissible rotation found")
     floor = tol * max(P.shape) * jscale
 
-    # The margin is the smallest of the m singular values; one SVD of L1
-    # gives both its margin and its rank decision.
+    # One SVD of L1 gives both its margin and its rank decision.
     s1 = np.linalg.svd(P.L1, compute_uv=False)
-    if s1[m - 1] >= 0.05 * jscale:
-        return Rotation(1.0, 0.0, float(s1[m - 1]))
+    if s1[rank - 1] >= 0.05 * jscale:
+        return Rotation(1.0, 0.0, float(s1[rank - 1]))
     rng = np.random.default_rng(seed)
     best = None
-    full_rank = _rank_rule(s1, P.L1.shape, tol, floor)[0] == m
-    best_margin = float(s1[m - 1]) if full_rank else -1.0
+    full_rank = _rank_rule(s1, P.L1.shape, tol, floor)[0] >= rank
+    best_margin = float(s1[rank - 1]) if full_rank else -1.0
     if best_margin > 0:
         best = IDENTITY_ROTATION
     bound = None
+    bounded = rank == m >= _BOUND_MIN_ROWS
     for _ in range(_ROTATION_TRIES):
         theta = rng.uniform(0.0, math.pi)
         c, s = math.cos(theta), math.sin(theta)
         M = -s * P.L0 + c * P.L1
-        if best_margin > 0 and m >= _BOUND_MIN_ROWS:
+        if best_margin > 0 and bounded:
             if bound is None:
                 bound = _MarginBound(P)
             if bound(M, c, s, best_margin) < best_margin:
                 # Cannot win: best_margin, and so the stop test, are unchanged.
                 continue
-        g = float(np.linalg.svd(M, compute_uv=False)[m - 1])
+        g = float(np.linalg.svd(M, compute_uv=False)[rank - 1])
         if g > best_margin:
             best, best_margin = Rotation(c, s), g
         if best_margin >= 0.1 * jscale:

@@ -21,20 +21,17 @@ unitaries.
 
 ``kronecker_structure`` reports the complete Kronecker data of an arbitrary
 pencil: finite eigenvalues with partial multiplicities, infinite block
-sizes, and left/right minimal indices.  Partial multiplicities at a point
-are read off from the nullity increments of the staircase chain matrices at
-that point: the first two from the singular values and kernels of the pencil
-at the point (its kernels, and the kernel-width matrix that block
-elimination of the second chain matrix leaves), deeper ones from the chain
-matrices themselves.  A simple point, square with at least
-``_SIMPLE_POINT_MIN_ROWS`` rows and a kernel of width one, takes its
-singular values from an SVD without vectors and its kernel pair from one LU
-and a step of inverse iteration, kept only when a residual bound certifies
-it as accurate as LAPACK's own singular vectors; every other point takes
-one full SVD.
-Minimal indices are read off the block sizes of the same staircase loop,
-run on the pencil for the right ones and on its transpose for the left
-ones.
+sizes, and left/right minimal indices, after GUPTRI (Demmel & Kagstrom, ACM
+TOMS 19, 1993) and Beelen & Van Dooren (LAA 105, 1988).  The pencil is
+rotated once so that its leading coefficient has the normal rank; the same
+staircase loop, on the rotated pencil and then on the transpose of what is
+left, peels the right and left minimal indices and leaves exactly the
+regular part.  One complex QZ of the regular part gives its eigenvalues,
+and back substitution on the triangular factors each one's perturbation
+disc.  A lone eigenvalue, whose disc meets no other, is simple and takes no
+factorization; a cluster of eigenvalues is moved to the leading block of
+the Schur form and its block sizes are read off the staircase of that small
+block in the variable that sends the cluster's point to infinity.
 """
 from __future__ import annotations
 
@@ -43,16 +40,16 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import lapack
 
-from .linalg import (
-    DEFAULT_TOL,
-    _gap_rule,
-    _rank_rule,
-    col_compress,
-    matrix_rank,
-    rank_with_gap,
-    random_unitary,
+from .linalg import DEFAULT_TOL, _rank_rule, col_compress
+from .pencil import (
+    Pencil,
+    _choose_rotation,
+    choose_rotation,
+    default_lambda_scale,
+    lambda_scale,
+    mobius_rotate,
+    normal_rank,
 )
-from .pencil import Pencil, mobius_rotate, choose_rotation, normal_rank
 
 _EPS = float(np.finfo(float).eps)
 
@@ -154,14 +151,19 @@ def _staircase_floor(P: Pencil, tol: float) -> float:
     return tol * max(P.shape) * P.coefficient_scale()
 
 
-def _staircase(P: Pencil, tol: float, check, kernel=_svd_kernel):
+def _no_check(mw, rB, nu, s_rank):
+    """A staircase step check that accepts every step."""
+
+
+def _staircase(P: Pencil, tol: float, check, kernel=_svd_kernel, floor=None):
     """The staircase loop shared by both deflations.
 
     Each step compresses the columns of the window's ``L1``, then the rows
     of ``L0`` on the kernel columns, moving those rows to the bottom; the
     window shrinks to what is left.  Columns left without rows form a last
-    step ``(nw, 0)`` of ``L_0`` blocks.  Thresholds are floored at the scale
-    of the whole pencil.  ``check(mw, rB, nu, s_rank)`` (window rows, rank
+    step ``(nw, 0)`` of ``L_0`` blocks.  Thresholds are floored at
+    ``floor``, by default the scale of the whole pencil
+    (:func:`_staircase_floor`).  ``check(mw, rB, nu, s_rank)`` (window rows, rank
     of ``L1``, kernel width, rank of ``L0`` on the kernel) raises
     :class:`StaircaseError` on a step the caller's problem rules out.
 
@@ -180,7 +182,8 @@ def _staircase(P: Pencil, tol: float, check, kernel=_svd_kernel):
     m, n = P.shape
     A = P.L0.copy()
     B = P.L1.copy()
-    floor = _staircase_floor(P, tol)
+    if floor is None:
+        floor = _staircase_floor(P, tol)
     U_acc = np.eye(m, dtype=complex)
     Wh_acc = np.eye(n, dtype=complex)
     blocks = []
@@ -214,6 +217,16 @@ def _staircase(P: Pencil, tol: float, check, kernel=_svd_kernel):
 # Multiple of ``m * max(m, n) * eps * |L1r|_F`` by which the rounding of a
 # staircase can lower a window's smallest singular value below the margin.
 _CERTIFICATE_PAD = 100.0
+
+
+def _certified_kernel(R: Pencil, margin: float, tol: float):
+    """:func:`_qr_kernel` where ``margin``, the smallest singular value of
+    the full-row-rank leading coefficient of ``R``, certifies every
+    staircase window (see :func:`separate_regular_right`), else
+    :func:`_svd_kernel`."""
+    m, n = R.shape
+    pad = _CERTIFICATE_PAD * m * max(m, n) * _EPS * np.linalg.norm(R.L1)
+    return _qr_kernel if margin - pad > _staircase_floor(R, tol) else _svd_kernel
 
 
 def separate_regular_right(
@@ -256,10 +269,7 @@ def separate_regular_right(
 
     rot = choose_rotation(P, seed=seed, tol=tol)
     R = mobius_rotate(P, rot)
-    m, n = R.shape
-    pad = _CERTIFICATE_PAD * m * max(m, n) * _EPS * np.linalg.norm(R.L1)
-    certified = rot.margin - pad > _staircase_floor(R, tol)
-    kernel = _qr_kernel if certified else _svd_kernel
+    kernel = _certified_kernel(R, rot.margin, tol)
     U, W, T, blocks, mw, nw = _staircase(R, tol, full_row_rank, kernel)
     if mw != nw:
         raise StaircaseError("inconsistent deflation count")
@@ -284,21 +294,29 @@ def split_infinite(P: Pencil, tol: float = DEFAULT_TOL):
     n = P.rows
     if P.cols != n:
         raise StaircaseError("split_infinite expects a square pencil")
+    U, W, transformed, blocks, _, nw = _staircase(P, tol, _regular_step)
+    return U, W, transformed, n - nw, _blocks_at_infinity(blocks)
 
-    def regular(mw, rB, nu, s_rank):
-        # A regular pencil keeps every step square: the constant term has
-        # full column rank on the leading-coefficient kernel.
-        if s_rank != nu:
-            raise StaircaseError(
-                "pencil is singular: constant term rank-deficient on the "
-                "leading-coefficient kernel"
-            )
 
-    U, W, transformed, blocks, _, nw = _staircase(P, tol, regular)
+def _regular_step(mw, rB, nu, s_rank):
+    """Staircase step check of a regular pencil: every step is square, the
+    constant term having full column rank on the leading-coefficient
+    kernel."""
+    if s_rank != nu:
+        raise StaircaseError(
+            "pencil is singular: constant term rank-deficient on the "
+            "leading-coefficient kernel"
+        )
+
+
+def _blocks_at_infinity(blocks) -> tuple:
+    """Block sizes at infinity from the steps of a regular pencil's
+    staircase: the conjugate partition of its kernel widths, which must
+    not increase."""
     weyr = [nu for nu, _ in blocks]
     if any(a < b for a, b in zip(weyr, weyr[1:])):
         raise StaircaseError(f"Weyr characteristic at infinity increases: {weyr}")
-    return U, W, transformed, n - nw, _conjugate_partition(weyr)
+    return _conjugate_partition(weyr)
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +331,11 @@ class KroneckerReport:
     ``finite_eigen`` maps each finite eigenvalue to its partition of partial
     multiplicities (sorted descending); ``infinite_blocks`` is the multiset
     of Kronecker block sizes at infinity (k >= 1); the minimal index tuples
-    are sorted ascending.  ``ambiguous`` is set when some rank decision sat
-    within a factor 10 of its threshold or the eigenvalue count could not be
-    reconciled at the default clustering radius.
+    are sorted ascending.  ``ambiguous`` is set when an eigenvalue
+    clustering decision was a close call (a perturbation-disc test within a
+    factor 10 of its other outcome, or a cluster its reading split), or the
+    eigenvalue count does not reconcile with the normal rank and minimal
+    indices.
     """
 
     normal_rank: int
@@ -350,215 +370,6 @@ def infinity_mcmillan_indices(report: KroneckerReport) -> tuple:
     return tuple(sorted(k - 1 for k in report.infinite_blocks if k >= 2))
 
 
-def _chain_floor(Ac, k, tol, norms):
-    """Rank-threshold floor of the k-stage chain matrix at a point.
-
-    The floor is the joint coefficient scale, from ``norms``, the Frobenius
-    norms of ``Ac`` and ``Bc``: at an eigenvalue of full multiplicity
-    ``Ac`` vanishes entirely and a purely relative threshold would see a
-    full-rank noise matrix.  ``Bc`` is the same at every point, so callers
-    take its norm once, and ``Ac``'s once per point.
-    """
-    scale = float(np.hypot(*norms))
-    return tol * k * max(Ac.shape) * scale
-
-
-def _chain_nullity(Ac, Bc, k, tol):
-    """Nullity of the k-stage staircase chain matrix at a point.
-
-    The chain matrix stacks ``Ac`` on the block diagonal and ``Bc`` on the
-    first block subdiagonal; its kernel holds the length-k Jordan chains at
-    the point together with k degrees of freedom per right singular block.
-    Factored for k >= 3, and for k = 2 where :func:`_second_chain_nullity`
-    cannot decide from the kernels alone.
-    """
-    m, n = Ac.shape
-    T = np.zeros((k * m, k * n), dtype=complex)
-    for j in range(k):
-        T[j * m : (j + 1) * m, j * n : (j + 1) * n] = Ac
-        if j + 1 < k:
-            T[(j + 1) * m : (j + 2) * m, j * n : (j + 1) * n] = Bc
-    norms = (np.linalg.norm(Ac), np.linalg.norm(Bc))
-    rank, amb = rank_with_gap(T, tol, floor=_chain_floor(Ac, k, tol, norms))
-    return k * n - rank, amb
-
-
-# Rows from which a square point of kernel width at most one takes its
-# kernel pair from an LU of the pencil at the point and only the singular
-# values from an SVD.  Below it the LU route's fixed cost loses to the full
-# SVD.  Measured per point at simple eigenvalues of random pencils (2-vCPU
-# Xeon, one BLAS thread): 88 against 51 us at N = 8, 174 against 143 us at
-# N = 20, 191 against 200 us at N = 24, 247 against 330 us at N = 32 and
-# 1.16 against 2.05 ms at N = 74.
-_SIMPLE_POINT_MIN_ROWS = 24
-
-
-def _point_kernels(Ac, tol, floor):
-    """Singular values of ``Ac`` and the kernels it can have up to ``tol``.
-
-    Returns ``(s, Y, X)``: every singular value of ``Ac``, and orthonormal
-    bases of the left and right kernels at the k = 1 chain rank, whose
-    threshold is floored at ``floor`` (:func:`_chain_floor` at ``tol``).
-    The rank rule is monotone in the tolerance, so these columns hold the
-    kernels at every tolerance up to ``tol``; only kernel-width columns
-    are kept, so the memory per point is the kernel width.
-
-    A simple point, square with at least ``_SIMPLE_POINT_MIN_ROWS`` rows
-    and rank at least N - 1, takes its kernel pair from
-    :func:`_simple_point_kernels` when that certifies it; every other point
-    takes the trailing singular vectors of a full SVD.
-    """
-    m, n = Ac.shape
-    if m == n >= _SIMPLE_POINT_MIN_ROWS:
-        kernels = _simple_point_kernels(Ac, tol, floor)
-        if kernels is not None:
-            return kernels
-    U, s, Vh = np.linalg.svd(Ac)
-    rank, _ = _rank_rule(s, Ac.shape, tol, floor)
-    return s, U[:, rank:].copy(), Vh[rank:].conj().T.copy()
-
-
-def _unit(v):
-    """``v`` scaled to unit norm; NaN where its norm is 0 or not finite, so
-    an overflowing solve fails the certificate that reads it."""
-    nv = np.linalg.norm(v)
-    return v / nv if 0.0 < nv < np.inf else np.full_like(v, np.nan)
-
-
-def _simple_point_kernels(Ac, tol, floor):
-    """:func:`_point_kernels` of a square ``Ac`` of rank N - 1 or N, from
-    values-only singular values and one LU; None where it cannot certify.
-
-    The singular values come from an SVD without vectors, so the rank rule
-    reads the same ``s`` as at every other point.  At rank N both kernels
-    are empty.  At rank N - 1 the kernel pair ``(y, x)`` comes from the LU
-    ``Ac = P L U`` (``lapack.zgetrf``): ``x = U^-1 e_j``, j the smallest
-    pivot, then one step of inverse iteration, ``y ~ Ac^-H x``,
-    ``x ~ Ac^-1 y``, ``y ~ Ac^-H x``.  For unit ``x`` the angle to the
-    trailing right singular vector obeys ``sin <= |Ac x| /
-    sqrt(s[-2]^2 - s[-1]^2)``, and the same holds for ``y`` with ``Ac^H``.
-    The pair is kept when both bounds are within the accuracy LAPACK gives
-    its own singular vectors, ``eps s[0] / (s[-2] - s[-1])`` times a
-    modestly growing factor, taken as N.
-
-    An exact zero pivot or a failed factorization, two pivots at or below
-    ``floor`` (a kernel of width two or more is likely, which needs the
-    full SVD anyway), a rank below N - 1, or a failed certificate return
-    None, and the caller takes the full SVD.
-    """
-    n = Ac.shape[0]
-    lu, piv, info = lapack.zgetrf(Ac)
-    if info:
-        return None
-    pivots = np.abs(np.diagonal(lu))
-    if np.count_nonzero(pivots <= floor) > 1:
-        return None
-    s = np.linalg.svd(Ac, compute_uv=False)
-    rank, _ = _rank_rule(s, Ac.shape, tol, floor)
-    if rank == n:
-        return s, np.zeros((n, 0), dtype=complex), np.zeros((n, 0), dtype=complex)
-    if rank < n - 1:
-        return None
-    e = np.zeros((n, 1), dtype=complex)
-    e[np.argmin(pivots)] = 1.0
-    x = _unit(lapack.ztrtrs(lu, e)[0])
-    y = _unit(lapack.zgetrs(lu, piv, x, trans=2)[0])
-    x = _unit(lapack.zgetrs(lu, piv, y)[0])
-    y = _unit(lapack.zgetrs(lu, piv, x, trans=2)[0])
-    # The certificate, multiplied through by sqrt(s[-2]^2 - s[-1]^2) > 0.
-    limit = n * _EPS * s[0] * np.sqrt((s[-2] + s[-1]) / (s[-2] - s[-1]))
-    if np.linalg.norm(Ac @ x) <= limit and np.linalg.norm(Ac.conj().T @ y) <= limit:
-        return s, y, x
-    return None
-
-
-def _second_chain_nullity(Ac, Bc, s, Y, X, tol, floor, nB):
-    """Nullity of the 2-stage chain matrix from the kernels of ``Ac``.
-
-    ``Ac = U S V^H`` has singular values ``s`` and numerical rank r; ``Y``
-    and ``X`` hold its left and right kernel bases (the trailing m - r and
-    n - r singular vectors), ``floor`` is the chain matrix's threshold
-    floor (:func:`_chain_floor` at k = 2) and ``nB`` the Frobenius norm of
-    ``Bc``.  Block elimination of the rotated chain matrix
-    ``[[S, 0], [U^H Bc V, S]]`` on the 2r pivots of ``S`` leaves
-    ``[[E, 0], [Y^H Bc X, E]]``, E the sub-threshold singular values of
-    ``Ac``: the chain matrix has rank ``2r + rank(Y^H Bc X)``, and only this
-    kernel-width matrix is factored.
-
-    The elimination is exact but not unitary, so the small singular values
-    of the chain matrix are not those of ``Y^H Bc X``; at the
-    rounding-split points of a defective eigenvalue they differ by more
-    than a factor 10.  Its triangular factors change singular values by a
-    factor of at most ``kappa`` (from ``|Y^H Bc|`` and ``|Bc X|`` over
-    ``sigma_r = s[r-1]``), the pivot block has none below
-    ``sigma_r / (1 + |Bc| / sigma_r)``, and E moves them by at most
-    ``s[r]``.  ``Y^H Bc X`` decides only when these bounds put the pivots
-    and each of its singular values on one side of the chain matrix's own
-    threshold, which lies in ``[floor, sqrt(2) floor]``; otherwise the
-    chain matrix is factored.  Either way the decision is the chain
-    matrix's, up to rounding.
-    """
-    m, n = Ac.shape
-    r = n - X.shape[1]
-    YB = Y.conj().T @ Bc
-    c = np.linalg.svd(YB @ X, compute_uv=False)
-    kappa, pivots = 1.0, np.inf
-    if r:
-        sr = float(s[r - 1])
-        kappa = (1 + np.linalg.norm(YB) / sr) * (1 + np.linalg.norm(Bc @ X) / sr)
-        pivots = sr / (1 + nB / sr)
-    e = float(s[r]) if r < s.size else 0.0
-    lo, hi = floor / kappa, np.sqrt(2.0) * floor * kappa
-    if pivots <= hi or e > lo or any(x + e > lo and x - e <= hi for x in c):
-        return _chain_nullity(Ac, Bc, 2, tol)
-    rank, amb = _gap_rule(c, (2 * m, 2 * n), tol, floor) if c.size else (0, False)
-    return 2 * (n - r) - rank, amb
-
-
-def _weyr_sequence(Ac, Bc, n_singular, tol, max_len, kernels, norms):
-    """Weyr characteristic at a point from chain-matrix nullity increments.
-
-    Each right singular block inflates every nullity increment by one, so
-    ``n_singular`` is subtracted out.  The first two nullities come from the
-    singular values and kernels of ``Ac``: ``kernels`` from
-    :func:`_point_kernels` at a tolerance of at least ``tol``, or ``None``
-    to take them here.  ``norms`` are the Frobenius norms of ``Ac`` and
-    ``Bc`` that set the chain floors (:func:`_chain_floor`).  Deeper
-    nullities, needed only when the second Weyr number is positive (a
-    defective or rounding-split point), come from the chain matrices
-    themselves.  Returns the (nonincreasing) list of Weyr numbers and an
-    ambiguity flag.
-    """
-    m, n = Ac.shape
-    floor = _chain_floor(Ac, 1, tol, norms)
-    s, Y, X = kernels if kernels is not None else _point_kernels(Ac, tol, floor)
-    r, ambiguous = _gap_rule(s, (m, n), tol, floor)
-    if n - r > X.shape[1]:
-        # Kernels cut at a smaller tolerance than this one: take them again.
-        s, Y, X = _point_kernels(Ac, tol, floor)
-    Y = Y[:, Y.shape[1] - (m - r) :]
-    X = X[:, X.shape[1] - (n - r) :]
-    weyr = []
-    prev = 0
-    for k in range(1, max_len + 2):
-        if k == 1:
-            nk, amb = n - r, False
-        elif k == 2:
-            # The k-stage floor is k times the one-stage floor, exactly.
-            nk, amb = _second_chain_nullity(Ac, Bc, s, Y, X, tol, 2 * floor, norms[1])
-        else:
-            nk, amb = _chain_nullity(Ac, Bc, k, tol)
-        ambiguous = ambiguous or amb
-        w = (nk - prev) - n_singular
-        prev = nk
-        if w <= 0:
-            break
-        if weyr and w > weyr[-1]:
-            w = weyr[-1]
-        weyr.append(w)
-    return weyr, ambiguous
-
-
 def _conjugate_partition(weyr) -> tuple:
     """Block sizes (partition) conjugate to a Weyr characteristic."""
     if not weyr:
@@ -570,120 +381,220 @@ def _conjugate_partition(weyr) -> tuple:
     return tuple(sorted(blocks, reverse=True))
 
 
-def _generic_rotation(P: Pencil, r: int, tol: float, seed: int):
-    """Rotation with s != 0 making the rotated leading coefficient rank r.
+def _regular_part(R: Pencil, r: int, margin: float, tol: float):
+    """Regular part and minimal indices of a pencil whose leading
+    coefficient has rank ``r``, its normal rank.
 
-    In the rotated variable the pencil has no structure at infinity; the
-    original point at infinity sits at the finite point mu = -c/s.
+    Such a pencil has no structure at infinity, so the staircase loop peels
+    only its ``L_eps`` blocks, and the same loop on the transpose of what is
+    left peels only the ``L_eta^T`` blocks (Van Dooren, LAA 27, 1979): what
+    remains is exactly the regular part.  A side of full normal rank has no
+    blocks to peel and skips its loop.  Where ``r`` is the full row (or
+    column) rank of ``R``, the rotation's ``margin`` certifies the QR kernels
+    of the loop on ``R`` (or its transpose), as in
+    :func:`separate_regular_right`.  Every rank decision is floored at the
+    scale of ``R``.  Returns ``(X, eps, eta)``, ``X`` the regular part (its
+    transpose when the second loop ran).
     """
-    from .pencil import Rotation
+    m, n = R.shape
+    floor = _staircase_floor(R, tol)
+    eps = eta = ()
+    X = R
+    if r < n:
+        kernel = _certified_kernel(R, margin, tol) if r == m else _svd_kernel
+        _, _, T, blocks, mw, nw = _staircase(R, tol, _no_check, kernel, floor)
+        eps = _right_minimal_indices(blocks)
+        X = Pencil(T.L0[:mw, :nw], T.L1[:mw, :nw])
+    if X.rows > X.cols:
+        X = X.transpose()
+        kernel = _certified_kernel(X, margin, tol) if r == n else _svd_kernel
+        _, _, T, blocks, mw, nw = _staircase(X, tol, _no_check, kernel, floor)
+        eta = _right_minimal_indices(blocks)
+        X = Pencil(T.L0[:mw, :nw], T.L1[:mw, :nw])
+    return X, eps, eta
 
-    rng = np.random.default_rng(seed)
-    for _ in range(32):
-        theta = rng.uniform(0.35, np.pi - 0.35)
-        c, s = float(np.cos(theta)), float(np.sin(theta))
-        if matrix_rank(-s * P.L0 + c * P.L1, tol) == r:
-            return Rotation(c, s)
-    raise StaircaseError("no admissible rotation for structure extraction")
+
+# Multiple of the distance to its nearest neighbour beyond which an
+# eigenvalue's first-order radius is not believed.  A radius that wide marks
+# one of a cluster, a rounding-split defective eigenvalue say, whose members
+# move together by far less than their first-order radii (Hoelder, not
+# Lipschitz, in the perturbation).  A size-k block split by rounding eps
+# spreads by at most (tol / eps)^(1/k) more at tol: 67 for k = 2 and the
+# default tol.
+_CLUSTER_SPREAD = 100.0
 
 
-def _finite_candidates(
-    P: Pencil, r: int, tol: float, seed: int, kernel_tol: float, nB: float
-):
-    """Candidate eigenvalues and minimal indices of a pencil of rank r > 0.
+def _eigen_discs(S, T, floor):
+    """Eigenvalues of the upper triangular pair ``(S, T)`` and the radius of
+    the disc each can move in under a perturbation of ``floor`` in both.
 
-    ``P`` is rotated by :func:`_generic_rotation`, so its leading
-    coefficient has rank r and the staircase loop peels only ``L_eps``
-    blocks.  For pencils of full row (or column) normal rank the candidates
-    are the eigenvalues of the regular part deflated by the staircase, and
-    the minimal indices come from its block sizes.  Doubly singular pencils
-    run the loop on ``P`` and on its transpose for the indices, and take
-    candidates from seeded random unitary projections onto an r x r pencil,
-    whose spectrum holds the true eigenvalues plus random spurious points.
-    Candidates are validated by a rank drop of P at the point; spurious
-    survivors are eliminated later by the multiplicity analysis.  ``nB`` is
-    the Frobenius norm of ``L1``.  Returns ``(kept, eps, eta)``:
-    ``(a, nA, kernels)`` triples, ``nA`` the Frobenius norm of
-    ``L0 - a L1`` and ``kernels`` its singular values and kernels that
-    validated ``a``, cut by :func:`_point_kernels` at ``kernel_tol`` (the
-    first two chain nullities at ``a`` read them), and the right and left
-    minimal indices.  A simple candidate of at least
-    ``_SIMPLE_POINT_MIN_ROWS`` rows is validated by a values-only SVD, its
-    kernel pair taken from one LU under a residual certificate; any other
-    candidate, or one whose pair fails the certificate, by one full SVD.
+    ``w_i = S_ii / T_ii``.  The right and left eigenvectors ``x``, ``y`` of
+    the triangular pencil at ``w_i`` (``x_i = y_i = 1``) come from back
+    substitution on ``S - w_i T``, and the first-order radius is
+    ``floor (1 + |w_i|) |x| |y| / |y^H T x|``, with ``y^H T x = T_ii``.
+    Pivots below ``eps (|S| + |w_i| |T|)`` are raised to it, as LAPACK's
+    ``ztgevc`` does.  A radius beyond ``_CLUSTER_SPREAD`` times the distance
+    to the nearest other eigenvalue (or one that overflowed) is cut back to
+    that, but never below ``floor (1 + |w_i|) / |T_ii|``, the radius of an
+    eigenvalue with orthogonal neighbours.  So every radius of a pencil of
+    two or more rows is finite.
     """
-    from .linalg import eig_pair
+    k = S.shape[0]
+    d = np.diagonal(T)
+    w = np.diagonal(S) / d
+    nS, nT = np.linalg.norm(S), np.linalg.norm(T)
+    base = floor * (1 + np.abs(w)) / np.abs(d)
+    radii = base.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(k):
+            M = S - w[i] * T
+            pivots = np.diagonal(M).copy()
+            smin = _EPS * (nS + abs(w[i]) * nT)
+            np.fill_diagonal(M, np.where(np.abs(pivots) < smin, smin, pivots))
+            xx = yy = 1.0
+            if i:
+                x = lapack.ztrtrs(M[:i, :i], -M[:i, i : i + 1])[0]
+                xx += np.vdot(x, x).real
+            if i + 1 < k:
+                y = lapack.ztrtrs(
+                    M[i + 1 :, i + 1 :], -M[i : i + 1, i + 1 :].conj().T, trans=2
+                )[0]
+                yy += np.vdot(y, y).real
+            radii[i] *= np.sqrt(xx * yy)
+    gaps = np.abs(w[:, None] - w[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    cap = np.maximum(_CLUSTER_SPREAD * gaps.min(axis=1), base)
+    return w, np.minimum(np.where(np.isnan(radii), np.inf, radii), cap)
 
-    m, n = P.shape
-    vals = []
-    if r in (m, n):
-        sf = separate_regular_right(P if r == m else P.transpose(), tol, seed)
-        indices = sf.right_minimal_indices()
-        eps, eta = (indices, ()) if r == m else ((), indices)
-        X = sf.regular_part
-        if X.rows:
-            vals = list(eig_pair(X.L0, X.L1, tol))
-    else:
-        eps, eta = (
-            _right_minimal_indices(_staircase(side, tol, lambda *step: None)[3])
-            for side in (P, P.transpose())
+
+def _components(adjacent) -> list:
+    """Index arrays of the connected components of a symmetric boolean
+    adjacency matrix: every vertex takes the smallest label among its
+    neighbours and itself until no label changes."""
+    k = adjacent.shape[0]
+    labels = np.arange(k)
+    while True:
+        new = np.minimum(np.where(adjacent, labels, k).min(axis=1), labels)
+        if np.array_equal(new, labels):
+            break
+        labels = new
+    return [np.flatnonzero(labels == c) for c in np.unique(labels)]
+
+
+def _weakest_link_split(ratio) -> list:
+    """The parts of a cluster left when the weakest link of its strongest
+    spanning tree is cut: the components of the graph of pairs whose
+    ``ratio`` (distance over radii) is below the largest edge of the minimum
+    spanning tree; always two or more."""
+    k = ratio.shape[0]
+    in_tree = np.zeros(k, dtype=bool)
+    in_tree[0] = True
+    reach = ratio[0].copy()
+    weakest = 0.0
+    for _ in range(k - 1):
+        j = int(np.argmin(np.where(in_tree, np.inf, reach)))
+        weakest = max(weakest, reach[j])
+        in_tree[j] = True
+        reach = np.minimum(reach, ratio[j])
+    return _components(ratio < weakest)
+
+
+def _cluster_reading(S, T, members, z, tol, floor):
+    """Block sizes at ``z`` of the eigenvalues ``members`` of the upper
+    triangular pair ``(S, T)``, or None where not all of them sit at ``z``.
+
+    ``ztgsen`` moves the members to the leading k x k block.  In the
+    variable ``nu = 1 / (mu - z)`` that block is the pencil with leading
+    coefficient ``S_k - z T_k`` and constant term ``T_k``, whose Weyr
+    characteristic at infinity is the one at ``z``; it is read by the
+    staircase of :func:`split_infinite`, its rank decisions floored at
+    ``floor (1 + |z|)``, the error of ``S - z T`` when each coefficient
+    carries ``floor``.  None also where that staircase is inconsistent or
+    leaves finite eigenvalues (some member is not at ``z``).
+    """
+    n, k = S.shape[0], len(members)
+    if k < n:
+        select = np.zeros(n, dtype=np.int32)
+        select[members] = 1
+        unused = np.zeros((n, n), dtype=complex)
+        S, T, *_, info = lapack.ztgsen(select, S, T, unused, unused, ijob=0, wantq=0, wantz=0)
+        if info:
+            return None
+        S, T = S[:k, :k], T[:k, :k]
+    try:
+        _, _, _, blocks, _, nw = _staircase(
+            Pencil(T, S - z * T), tol, _regular_step, floor=floor * (1 + abs(z))
         )
-        rng = np.random.default_rng(seed)
-        for _ in range(2):
-            Q = random_unitary(rng, m)[:, :r]
-            Z = random_unitary(rng, n)[:, :r]
-            vals.extend(
-                eig_pair(Q.conj().T @ P.L0 @ Z, Q.conj().T @ P.L1 @ Z, tol)
-            )
-    finite = [complex(v) for v in vals if np.isfinite(v)]
-    n0 = np.linalg.norm(P.L0)
-    kept = []
-    for a in finite:
-        Ac = P.L0 - a * P.L1
-        nA = np.linalg.norm(Ac)
-        floor = _chain_floor(Ac, 1, kernel_tol, (nA, nB))
-        kernels = _point_kernels(Ac, kernel_tol, floor)
-        # Threshold against the natural magnitude of P(a), not sigma_1:
-        # at an eigenvalue of full multiplicity the whole matrix vanishes.
-        scale_a = max(n0 + abs(a) * nB, 1e-300)
-        if kernels[0][r - 1] <= 1e-6 * scale_a:
-            kept.append((a, nA, kernels))
-    return kept, eps, eta
+        part = _blocks_at_infinity(blocks)
+    except StaircaseError:
+        return None
+    return None if nw else part
 
 
-def _cluster_members(points, radius_rel):
-    """Greedy clustering; returns lists of (index, value) member pairs.
+# Pairs whose distance is at most this many times the sum of their radii
+# are read together first; a pair within this factor of the disc test's
+# other outcome is a close call.
+_MERGE_RATIO = 10.0
 
-    Each cluster keeps the running sum of its members, added in member
-    order, so its centroid is the one a sum over the members gives.
+
+def _eigen_structure(X: Pencil, mu_inf, tol: float, floor: float):
+    """Points and partial multiplicities of the square regular pencil ``X``.
+
+    One complex QZ (``zgges``, no Schur vectors) gives the triangular pair
+    and :func:`_eigen_discs` each eigenvalue's perturbation disc.  The
+    distance of two eigenvalues over the sum of their radii is their ratio,
+    and that of an eigenvalue to ``mu_inf`` over its radius its ratio to
+    infinity.  Clusters are the components of the graph of pairs of ratio
+    at most ``_MERGE_RATIO``.  A lone eigenvalue is simple and takes no
+    factorization: it is the point ``mu_inf`` at a ratio to infinity of at
+    most 1, and its own value beyond ``_MERGE_RATIO``; in between it is read
+    at ``mu_inf``.  A cluster of several is read at ``mu_inf`` when a member
+    is within ``_MERGE_RATIO`` of it, else (or when that fails) at its
+    centroid, by :func:`_cluster_reading`; a cluster no reading accepts is
+    cut by :func:`_weakest_link_split` and its parts are read in turn.
+
+    Returns ``(points, close)``: ``(z, partition, at_infinity)`` triples,
+    and whether a disc test was a close call: a cluster that the pairs of
+    ratio at most ``1 / _MERGE_RATIO`` do not already join, a ratio to
+    infinity between ``1 / _MERGE_RATIO`` and ``_MERGE_RATIO``, or a
+    reading that split a cluster.
     """
-    order = sorted(range(len(points)), key=lambda i: (points[i].real, points[i].imag))
-    clusters, sums = [], []
-    for i in order:
-        p = points[i]
-        for j, cl in enumerate(clusters):
-            c = sums[j] / len(cl)
-            if abs(p - c) <= radius_rel * max(1.0, abs(c), abs(p)):
-                cl.append((i, p))
-                sums[j] += p
+    k = X.rows
+    if k == 0:
+        return [], False
+    S, T, *_, info = lapack.zgges(lambda a, b: None, X.L0, X.L1, jobvsl=0, jobvsr=0)
+    if info:
+        raise StaircaseError(f"QZ failed (info {info})")
+    w, radii = _eigen_discs(S, T, floor)
+    ratio = np.abs(w[:, None] - w[None, :]) / (radii[:, None] + radii[None, :])
+    to_inf = np.full(k, np.inf) if mu_inf is None else np.abs(w - mu_inf) / radii
+    clusters = _components(ratio <= _MERGE_RATIO)
+    lo = 1.0 / _MERGE_RATIO
+    close = len(_components(ratio <= lo)) != len(clusters) or bool(
+        np.any((to_inf > lo) & (to_inf <= _MERGE_RATIO))
+    )
+
+    points = []
+    while clusters:
+        C = clusters.pop()
+        if C.size == 1 and to_inf[C[0]] <= 1.0:
+            points.append((mu_inf, (1,), True))
+            continue
+        readings = [(mu_inf, True)] if np.any(to_inf[C] <= _MERGE_RATIO) else []
+        if C.size > 1:
+            readings.append((complex(np.mean(w[C])), False))
+        for z, at_inf in readings:
+            part = _cluster_reading(S, T, C, z, tol, floor)
+            if part is not None:
+                points.append((z, part, at_inf))
                 break
         else:
-            clusters.append([(i, p)])
-            sums.append(p)
-    return clusters
-
-
-# Clustering radii paired with rank-tolerance multipliers.  A Jordan block
-# of size k splits under rounding by roughly eps**(1/k), so the ladder has
-# to reach past 1e-3 before a size-5 block merges back into one point.
-_ESCALATION = [
-    (1e-8, 1.0),
-    (1e-7, 10.0),
-    (1e-6, 1e2),
-    (1e-5, 1e3),
-    (1e-4, 1e4),
-    (3e-3, 1e4),
-]
+            if C.size == 1:
+                points.append((complex(w[C[0]]), (1,), False))
+            else:
+                close = True
+                clusters.extend(C[i] for i in _weakest_link_split(ratio[np.ix_(C, C)]))
+    return points, close
 
 
 def kronecker_structure(
@@ -691,20 +602,19 @@ def kronecker_structure(
 ) -> KroneckerReport:
     """Complete Kronecker structure report of an arbitrary pencil.
 
-    The eigenvalue analysis runs on a generically rotated (and power-of-2
-    norm-balanced) copy of the pencil, so the point at infinity becomes the
-    ordinary finite point mu = -c/s and defective structure at infinity
-    cannot leak huge junk eigenvalues into the finite spectrum.  Partial
-    multiplicities come from staircase chain nullities at each clustered
-    candidate; minimal indices (invariant under the rotation) from the
-    block sizes of the staircases run on the rotated copy, their counts
-    checked against the normal rank.
-    Candidates are clustered at an escalating radius until the eigenvalue
-    count matches the normal-rank bookkeeping and every cluster is well
-    separated; failure to reconcile sets ``ambiguous`` instead of raising.
+    The pencil is norm-balanced by a power of 2 in lambda and rotated by the
+    sampled angle that maximises the r-th singular value of its leading
+    coefficient, r the normal rank (:func:`choose_rotation`).  In the
+    rotated variable the pencil has no structure at infinity: the original
+    point at infinity is the finite point ``mu = -c/s``.  Minimal indices
+    (invariant under the rotation) come from the block sizes of the
+    staircases that isolate the regular part (:func:`_regular_part`), their
+    counts checked against the normal rank; points and partial
+    multiplicities from one QZ of the regular part and the perturbation
+    discs of its eigenvalues (:func:`_eigen_structure`).  ``ambiguous`` is
+    set when a disc test was a close call or the eigenvalue count does not
+    reconcile with the normal-rank bookkeeping.
     """
-    from .pencil import default_lambda_scale, lambda_scale
-
     m, n = P.shape
     scale = P.coefficient_scale()
     # Coefficients fully below the joint noise floor carry no structure at
@@ -725,105 +635,32 @@ def kronecker_structure(
             right_minimal=(0,) * n,
             left_minimal=(0,) * m,
         )
-    n_eps = n - r
 
     d_lam = default_lambda_scale(P)
     Pn = lambda_scale(P, d_lam)  # eigenvalues scale by d_lam exactly
-    rot = _generic_rotation(Pn, r, tol, seed)
+    rot = _choose_rotation(Pn, r, seed, tol)
     Pr = mobius_rotate(Pn, rot)
-    mu_inf = complex(-rot.c / rot.s)
-
-    # Kernels at each point, cut at the widest tolerance the escalation
-    # reaches.  A candidate clustered alone sits at its own value, so its
-    # kernels are those that validated it.  L1 is the same at every point:
-    # its norm, like each point's own, is taken once.
-    kernel_tol = tol * max(mult for _, mult in _ESCALATION)
-    nB = np.linalg.norm(Pr.L1)
-    candidates, eps, eta = _finite_candidates(Pr, r, tol, seed, kernel_tol, nB)
-    if len(eps) != n_eps or len(eta) != m - r:
+    X, eps, eta = _regular_part(Pr, r, rot.margin, tol)
+    if len(eps) != n - r or len(eta) != m - r:
         raise StaircaseError(
             f"minimal index counts {len(eps)}, {len(eta)} disagree with normal rank {r}"
         )
-    target = r - sum(eps) - sum(eta)
-    A_inf = Pr.L0 - mu_inf * Pr.L1
-    point_norms = [np.linalg.norm(A_inf)] + [nA for _, nA, _ in candidates]
-    floor_inf = _chain_floor(A_inf, 1, kernel_tol, (point_norms[0], nB))
-    points = [mu_inf] + [a for a, _, _ in candidates]
-    kernels = [_point_kernels(A_inf, kernel_tol, floor_inf)]
-    kernels += [k for _, _, k in candidates]
-
-    best = None
-    best_key = None
-    for radius, tol_mult in _ESCALATION:
-        finite = {}
-        inf_blocks = ()
-        amb_round = False
-        valid = True
-        centroids = []
-        for members in _cluster_members(points, radius):
-            has_inf = any(i == 0 for i, _ in members)
-            z = mu_inf if has_inf else sum(v for _, v in members) / len(members)
-            Ac = Pr.L0 - z * Pr.L1
-            # A cluster of several finite candidates takes its kernels at its
-            # centroid; every other z is a point whose kernels are known.
-            if has_inf or len(members) == 1:
-                i = 0 if has_inf else members[0][0]
-                known, nA = kernels[i], point_norms[i]
-            else:
-                known, nA = None, np.linalg.norm(Ac)
-            # A finite cluster cannot hold more eigenvalues than members.
-            max_len = r if has_inf else len(members)
-            weyr, amb = _weyr_sequence(
-                Ac, Pr.L1, n_eps, tol * tol_mult, max_len, known, (nA, nB)
-            )
-            amb_round = amb_round or amb
-            part = _conjugate_partition(weyr)
-            if not part:
-                continue
-            centroids.append(z)
-            if has_inf:
-                inf_blocks = part
-            else:
-                # A genuine finite eigenvalue of total multiplicity k shows
-                # up as k (possibly split) values; a lone point close to a
-                # defective eigenvalue claiming more weight than its cluster
-                # holds is a rounding phantom and invalidates this radius.
-                if sum(part) > len(members):
-                    valid = False
-                    break
-                lam = rot.map_point(z)
-                if np.isinf(lam):
-                    valid = False
-                    break
-                finite[complex(lam) / d_lam] = part
-        total = sum(sum(p) for p in finite.values()) + sum(inf_blocks)
-        gap = abs(total - target)
-        # The factor 100 covers the Mobius stretch between the clustering
-        # variable and the eigenvalue variable: rounding-split points of
-        # one eigenvalue must not pass as two stable clusters.
-        stable = valid and all(
-            abs(a - b) > 100.0 * radius * max(1.0, abs(a), abs(b))
-            for i, a in enumerate(centroids)
-            for b in centroids[i + 1 :]
-        )
-        key = (not valid, gap)
-        if best is None or key < best_key:
-            best, best_key = (finite, inf_blocks, amb_round), key
-        if valid and gap == 0 and stable:
-            return KroneckerReport(
-                normal_rank=r,
-                finite_eigen=finite,
-                infinite_blocks=inf_blocks,
-                right_minimal=eps,
-                left_minimal=eta,
-                ambiguous=amb_round,
-            )
-    finite, inf_blocks, amb_round = best
-    return KroneckerReport(
+    mu_inf = complex(-rot.c / rot.s) if rot.s else None
+    points, close = _eigen_structure(X, mu_inf, tol, _staircase_floor(Pr, tol))
+    finite, inf_blocks = {}, []
+    for z, part, at_inf in points:
+        lam = rot.map_point(z)
+        if at_inf or np.isinf(lam):
+            inf_blocks.extend(part)
+        else:
+            key = complex(lam) / d_lam
+            finite[key] = tuple(sorted(finite.get(key, ()) + part, reverse=True))
+    report = KroneckerReport(
         normal_rank=r,
         finite_eigen=finite,
-        infinite_blocks=inf_blocks,
+        infinite_blocks=tuple(sorted(inf_blocks, reverse=True)),
         right_minimal=eps,
         left_minimal=eta,
-        ambiguous=True,
     )
+    report.ambiguous = close or report.eigenvalue_total() != r - sum(eps) - sum(eta)
+    return report

@@ -260,9 +260,8 @@ def test_infinite_poles_from_staircase_match_kronecker_report(seed):
 
 def test_structure_query_svd_count(monkeypatch):
     # Work guard: one structure query on a planted d = 16 system (4 of its
-    # states uncontrollable) makes 206 SVDs.  A full Kronecker report of the
-    # identity-bordered pencil, or a second SVD per eigenvalue candidate,
-    # pushes it back over the ceiling (308 with both).
+    # states uncontrollable) makes 90 SVDs.  An SVD per eigenvalue, as a
+    # factorization at every point would take, pushes it over the ceiling.
     from strongmin.pencil import state_space_quadruple
 
     rng = np.random.default_rng(1)
@@ -284,7 +283,7 @@ def test_structure_query_svd_count(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted)
     s = rational_structure(q)
     assert s.mcmillan_degree == d - k
-    assert len(calls) <= 206
+    assert len(calls) <= 90
 
 
 def test_structure_query_svd_shapes(monkeypatch):
@@ -314,3 +313,41 @@ def test_structure_query_svd_shapes(monkeypatch):
     s = rational_structure(q)
     assert s.mcmillan_degree == d - k
     assert max(rows) <= d + 2
+
+
+def test_structure_query_factors_each_staircase_once(monkeypatch):
+    # The reduction of a quadruple found not strongly minimal reuses the
+    # controllability staircase of that test, and no quadruple is validated
+    # twice: no two staircases or regularity checks of one query see the
+    # same input.
+    import strongmin.minreal as minreal
+    from strongmin.pencil import state_space_quadruple
+
+    rng = np.random.default_rng(1)
+    d, k = 16, 4
+    F = rng.standard_normal((d, d))
+    F[:k, k:] = 0.0
+    G = rng.standard_normal((d, 2))
+    G[:k] = 0.0
+    H = rng.standard_normal((2, d))
+    D = rng.standard_normal((2, 2))
+    staircases, validated = [], []
+    staircase, validate = minreal.separate_regular_right, minreal.validate_regular
+
+    def key(*pencils):
+        return b"".join(c.tobytes() for P in pencils for c in (P.L0, P.L1))
+
+    def counted_staircase(P, tol, seed):
+        staircases.append(key(P))
+        return staircase(P, tol, seed)
+
+    def counted_validate(q, tol, seed):
+        validated.append(key(q.A, q.B, q.C, q.D))
+        return validate(q, tol, seed)
+
+    monkeypatch.setattr(minreal, "separate_regular_right", counted_staircase)
+    monkeypatch.setattr(minreal, "validate_regular", counted_validate)
+    s = rational_structure(state_space_quadruple(F, G, H, D))
+    assert s.mcmillan_degree == d - k
+    assert len(staircases) == len(set(staircases)) == 5
+    assert len(validated) == len(set(validated)) == 3

@@ -19,13 +19,8 @@ from strongmin.pencil import (
     mobius_rotate,
 )
 from strongmin.staircase import (
-    _ESCALATION,
     StaircaseError,
     StaircaseForm,
-    _chain_floor,
-    _chain_nullity,
-    _point_kernels,
-    _second_chain_nullity,
     infinity_mcmillan_indices,
     kronecker_structure,
     separate_regular_right,
@@ -454,23 +449,13 @@ class TestMinimalIndicesFromStaircase:
 
         P = unitary_equivalent(direct_sum(*blocks), 17)
         shapes = []
-        svd, chain_nullity = np.linalg.svd, staircase._chain_nullity
+        svd = np.linalg.svd
 
         def recorded(a, *args, **kwargs):
             shapes.append(np.shape(a))
             return svd(a, *args, **kwargs)
 
-        def unrecorded(Ac, Bc, k, tol):
-            # The k = 3 chain matrix that confirms the Jordan block of size
-            # 2 is the eigenvalue analysis's, not the minimal indices'.
-            monkeypatch.setattr(np.linalg, "svd", svd)
-            try:
-                return chain_nullity(Ac, Bc, k, tol)
-            finally:
-                monkeypatch.setattr(np.linalg, "svd", recorded)
-
         monkeypatch.setattr(np.linalg, "svd", recorded)
-        monkeypatch.setattr(staircase, "_chain_nullity", unrecorded)
         rep = kronecker_structure(P)
         assert (rep.right_minimal, rep.left_minimal) == (eps, eta)
         assert max(max(s) for s in shapes) <= max(P.shape)
@@ -495,27 +480,27 @@ class TestMinimalIndicesFromStaircase:
 
 
 def test_weyr_ladder_bounded_by_cluster(monkeypatch):
-    # Chain nullities that grow by one with every k would run the Weyr
-    # ladder of each simple eigenvalue to k = r + 1; a finite cluster cannot
-    # hold more eigenvalues than members, so no k above members + 1 = 2 is
-    # requested.
+    # The Weyr characteristic of a cluster is read off a staircase of a
+    # block with exactly as many rows as the cluster has members, so it
+    # cannot claim more eigenvalues than the cluster holds; lone eigenvalues
+    # take no reading at all.
     import strongmin.staircase as staircase
 
-    requested = []
+    read = []
+    real = staircase._cluster_reading
 
-    def runaway(Ac, Bc, k, tol):
-        requested.append(k)
-        return k, False
+    def recorded(S, T, members, z, tol, floor):
+        read.append(len(members))
+        return real(S, T, members, z, tol, floor)
 
-    monkeypatch.setattr(staircase, "_chain_nullity", runaway)
-    monkeypatch.setattr(
-        staircase,
-        "_second_chain_nullity",
-        lambda Ac, Bc, s, Y, X, tol, floor, nB: staircase._chain_nullity(Ac, Bc, 2, tol),
+    monkeypatch.setattr(staircase, "_cluster_reading", recorded)
+    P = unitary_equivalent(
+        direct_sum(Pencil(np.diag(np.arange(1.0, 9.0)), np.eye(8)), jordan_block(0.5, 3)), 3
     )
-    P = unitary_equivalent(Pencil(np.diag(np.arange(1.0, 9.0)), np.eye(8)), 3)
-    kronecker_structure(P)
-    assert requested and max(requested) == 2
+    rep = kronecker_structure(P)
+    assert read == [3]
+    assert rep.finite_eigen[min(rep.finite_eigen, key=lambda z: abs(z - 0.5))] == (3,)
+    assert sorted(rep.finite_eigen.values()) == [(1,)] * 8 + [(3,)]
 
 
 class TestInfinityShift:
@@ -617,64 +602,115 @@ class TestSplitInfinite:
             split_infinite(inf_block(3))
 
 
-def _reference_weyr(Ac, Bc, n_singular, tol, max_len, kernels=None, norms=None):
-    """The Weyr sequence with every chain nullity from its chain matrix."""
-    weyr, prev, ambiguous = [], 0, False
+def kronecker_sum(*spec):
+    """Direct sum of the Kronecker blocks ``spec`` names, and its structure
+    ``(finite, infinite, right, left)``: ``("J", lam, k)`` is a Jordan
+    block, ``("inf", k)`` a block at infinity, ``("L", eps)`` and
+    ``("LT", eta)`` right and left singular blocks."""
+    blocks, finite, inf, eps, eta = [], {}, [], [], []
+    for kind, *args in spec:
+        if kind == "J":
+            lam, k = args
+            blocks.append(jordan_block(lam, k))
+            finite[lam] = tuple(sorted(finite.get(lam, ()) + (k,), reverse=True))
+        elif kind == "inf":
+            blocks.append(inf_block(args[0]))
+            inf.append(args[0])
+        elif kind == "L":
+            blocks.append(L_block(args[0]))
+            eps.append(args[0])
+        else:
+            blocks.append(L_block(args[0]).transpose())
+            eta.append(args[0])
+    structure = (finite, tuple(sorted(inf, reverse=True)), tuple(sorted(eps)), tuple(sorted(eta)))
+    return direct_sum(*blocks), structure
+
+
+def assert_structure(rep, structure, rel=1e-6):
+    """The report holds exactly ``structure``; points match within ``rel``
+    relative to ``max(1, |point|)``."""
+    finite, inf, eps, eta = structure
+    assert (rep.infinite_blocks, rep.right_minimal, rep.left_minimal) == (inf, eps, eta)
+    assert len(rep.finite_eigen) == len(finite)
+    for lam, part in finite.items():
+        near = [z for z in rep.finite_eigen if abs(z - lam) <= rel * max(1.0, abs(lam))]
+        assert len(near) == 1, (lam, rep.finite_eigen)
+        assert rep.finite_eigen[near[0]] == part, (lam, rep.finite_eigen[near[0]], part)
+
+
+def _chain_partition(X, z, tol, max_len):
+    """Partial multiplicities at ``z`` of the square regular pencil ``X``,
+    by the classical definition: the nullity increments of the chain
+    matrices with ``X.L0 - z X.L1`` on the block diagonal and ``X.L1`` on
+    the first block subdiagonal, each rank decided by the package rule with
+    a floor of ``tol * k * N`` times the joint norm of the two blocks."""
+    from strongmin.staircase import _conjugate_partition
+
+    Ac, Bc = X.L0 - z * X.L1, X.L1
+    N = Ac.shape[0]
+    weyr, prev = [], 0
     for k in range(1, max_len + 2):
-        nk, amb = _chain_nullity(Ac, Bc, k, tol)
-        ambiguous = ambiguous or amb
-        w = (nk - prev) - n_singular
+        T = np.zeros((k * N, k * N), dtype=complex)
+        for j in range(k):
+            T[j * N : (j + 1) * N, j * N : (j + 1) * N] = Ac
+            if j + 1 < k:
+                T[(j + 1) * N : (j + 2) * N, j * N : (j + 1) * N] = Bc
+        s = np.linalg.svd(T, compute_uv=False)
+        floor = tol * k * N * np.hypot(np.linalg.norm(Ac), np.linalg.norm(Bc))
+        nk = k * N - _rank_rule(s, T.shape, tol, floor)[0]
+        w = nk - prev
         prev = nk
         if w <= 0:
             break
-        if weyr and w > weyr[-1]:
-            w = weyr[-1]
-        weyr.append(w)
-    return weyr, ambiguous
+        weyr.append(min(w, weyr[-1]) if weyr else w)
+    return _conjugate_partition(weyr)
 
 
-def _check_points_against_chain_matrices(monkeypatch, tol=DEFAULT_TOL):
-    """Make every point ``kronecker_structure`` visits compare, at every
-    escalation multiplier, its Weyr sequence with the chain-matrix one.
-    Returns the list of points checked."""
+def _check_points_against_chain_matrices(monkeypatch):
+    """Make every point ``kronecker_structure`` reports compare its
+    partition with the one the chain matrices of the regular part give at
+    that point.  Returns the list of partitions checked."""
     import strongmin.staircase as staircase
 
-    real = staircase._weyr_sequence
+    real = staircase._eigen_structure
     checked = []
 
-    def compared(Ac, Bc, n_singular, t, max_len, kernels, norms):
-        for _, mult in _ESCALATION:
-            got, _ = real(Ac, Bc, n_singular, tol * mult, max_len, kernels, norms)
-            ref, _ = _reference_weyr(Ac, Bc, n_singular, tol * mult, max_len)
-            assert got == ref, (mult, got, ref)
-        checked.append(Ac.shape)
-        return real(Ac, Bc, n_singular, t, max_len, kernels, norms)
+    def compared(X, mu_inf, tol, floor):
+        points, close = real(X, mu_inf, tol, floor)
+        for z, part, _ in points:
+            assert _chain_partition(X, z, tol, sum(part)) == part, (z, part)
+            checked.append(part)
+        return points, close
 
-    monkeypatch.setattr(staircase, "_weyr_sequence", compared)
+    monkeypatch.setattr(staircase, "_eigen_structure", compared)
     return checked
 
 
-class TestWeyrFromKernels:
-    """The k = 2 chain nullity read off the kernels at the point equals the
-    one of the 2N x 2N chain matrix, which stays here as the reference."""
+MIXTURES = [
+    (("J", 0.5, 1), ("J", -1.0, 2), ("J", 2.0, 3)),
+    (("J", 1.5, 4), ("J", -0.5, 1)),
+    (("J", 0.5, 2), ("J", 0.5, 1), ("inf", 2)),
+    (("inf", 3), ("inf", 1), ("J", -2.0, 2)),
+    (("L", 0), ("L", 2), ("J", 0.7, 2), ("inf", 2)),
+    (("LT", 1), ("LT", 2), ("J", 1.0, 3)),
+    (("L", 1), ("LT", 1), ("J", -1.0, 1), ("inf", 3)),
+]
 
-    @pytest.mark.parametrize(
-        "blocks",
-        [
-            (jordan_block(0.5, 1), jordan_block(-1.0, 2), jordan_block(2.0, 3)),
-            (jordan_block(1.5, 4), jordan_block(-0.5, 1)),
-            (jordan_block(0.5, 2), jordan_block(0.5, 1), inf_block(2)),
-            (inf_block(3), inf_block(1), jordan_block(-2.0, 2)),
-            (L_block(0), L_block(2), jordan_block(0.7, 2), inf_block(2)),
-            (L_block(1).transpose(), L_block(2).transpose(), jordan_block(1.0, 3)),
-            (L_block(1), L_block(1).transpose(), jordan_block(-1.0, 1), inf_block(3)),
-        ],
-    )
+
+class TestWeyrFromKernels:
+    """Partial multiplicities are read off the kernel widths of one small
+    staircase per cluster of eigenvalues; on mixed Kronecker blocks they
+    are the known ones, and at every reported point the ones the chain
+    matrices of the regular part give."""
+
+    @pytest.mark.parametrize("blocks", MIXTURES)
     @pytest.mark.parametrize("seed", range(2))
     def test_kronecker_blocks(self, monkeypatch, blocks, seed):
         checked = _check_points_against_chain_matrices(monkeypatch)
-        P = unitary_equivalent(direct_sum(*blocks), 300 + seed)
-        kronecker_structure(P, seed=seed)
+        base, structure = kronecker_sum(*blocks)
+        rep = kronecker_structure(unitary_equivalent(base, 300 + seed), seed=seed)
+        assert_structure(rep, structure)
+        assert not rep.ambiguous
         assert checked
 
     def test_corpus_and_gallery(self, monkeypatch):
@@ -704,32 +740,22 @@ class TestWeyrFromKernels:
         assert len(checked) >= len(systems)
 
     def test_rounding_split_point(self):
-        # 2.5e-6 from a size-3 Jordan block, Y^H Bc X alone sits above the
-        # k = 2 threshold while the chain matrix has a second null vector:
-        # the bounds must hand this decision to the chain matrix.
+        # A size-3 Jordan block splits under rounding into three points about
+        # eps^(1/3) apart; their discs join them into one cluster, read as
+        # one block of size 3 at the centroid.
         P = unitary_equivalent(jordan_block(2.0, 3), 5)
-        Ac, Bc, tol = P.L0 - (2.0 + 2.5e-6) * P.L1, P.L1, 1e-12
-        norms = (np.linalg.norm(Ac), np.linalg.norm(Bc))
-        s, Y, X = _point_kernels(Ac, tol, _chain_floor(Ac, 1, tol, norms))
-        floor = _chain_floor(Ac, 2, tol, norms)
-        c = np.linalg.svd(Y.conj().T @ Bc @ X, compute_uv=False)
-        assert X.shape[1] == 1 and c[0] > floor
-        assert _chain_nullity(Ac, Bc, 2, tol)[0] == 2
-        assert _second_chain_nullity(Ac, Bc, s, Y, X, tol, floor, norms[1])[0] == 2
+        rep = kronecker_structure(P)
+        assert_structure(rep, ({2.0: (3,)}, (), (), ()))
+        assert not rep.ambiguous
 
     def test_large_tolerance(self, monkeypatch):
-        # At tol = 1e-3 the escalation reaches tolerances of 10 and above,
-        # where every singular vector of a point counts as kernel: the
-        # kernels kept per candidate are as wide as the pencil.
-        import strongmin.staircase as staircase
-
-        P = unitary_equivalent(
-            direct_sum(jordan_block(0.5, 3), L_block(1), L_block(2)), 11
-        )
-        rep = kronecker_structure(P, tol=1e-3)
-        monkeypatch.setattr(staircase, "_weyr_sequence", _reference_weyr)
-        assert rep == kronecker_structure(P, tol=1e-3)
-        assert rep.right_minimal == (1, 2)
+        # At tol = 1e-3 the discs are wide, and the readings decide at that
+        # tolerance; the chain matrices agree at every point.
+        checked = _check_points_against_chain_matrices(monkeypatch)
+        base, structure = kronecker_sum(("J", 0.5, 3), ("L", 1), ("L", 2))
+        rep = kronecker_structure(unitary_equivalent(base, 11), tol=1e-3)
+        assert_structure(rep, structure)
+        assert checked == [(3,)]
 
 
 def planted_quadruple(seed, d):
@@ -748,153 +774,112 @@ def planted_quadruple(seed, d):
     return state_space_quadruple(F, G, H, D)
 
 
-def _reference_point_kernels(Ac, tol, floor):
-    """The point kernels from one full SVD, as every point takes them below
-    the simple-point cutoff."""
-    U, s, Vh = np.linalg.svd(Ac)
-    rank = _rank_rule(s, Ac.shape, tol, floor)[0]
-    return s, U[:, rank:], Vh[rank:].conj().T
-
-
-def _sine_to_line(v, line):
-    """Sine of the angle between unit vectors ``v`` and ``line`` (n x 1)."""
-    return np.linalg.norm(v - line @ (line.conj().T @ v))
-
-
-def _check_points_against_full_svd(monkeypatch):
-    """Make every point kernel and Weyr sequence ``kronecker_structure``
-    takes compare with the full-SVD reference.  Returns the kernel widths of
-    the square points at or above the simple-point cutoff."""
+def _record_factorizations(monkeypatch):
+    """Record the shape of every SVD and LU ``kronecker_structure`` takes
+    outside its normal-rank probe and its rotation sampler, which every
+    pencil passes through.  Returns the list of ``(kind, shape)``."""
     import strongmin.staircase as staircase
 
-    point_kernels, weyr_sequence = staircase._point_kernels, staircase._weyr_sequence
-    widths = []
+    taken, paused = [], []
+    svd, getrf = np.linalg.svd, lapack.zgetrf
 
-    def compared_kernels(Ac, tol, floor):
-        s, Y, X = point_kernels(Ac, tol, floor)
-        s_ref, Y_ref, X_ref = _reference_point_kernels(Ac, tol, floor)
-        assert (Y.shape, X.shape) == (Y_ref.shape, X_ref.shape)  # the same rank
-        assert np.abs(s - s_ref).max() <= 10 * max(Ac.shape) * EPS * s_ref[0]
-        # LAPACK's own singular vectors are accurate to eps s[0] / gap: at a
-        # point inside a split defective cluster (gap ~ 4e-6 s[0]) two SVDs
-        # of one matrix, rows reversed, disagree by 1.4e-11.  The pair must
-        # be within N times that, as certified, and never beyond 1e-12
-        # where the gap allows.
-        limit = 1e-12
-        if Ac.shape[0] == Ac.shape[1] and X.shape[1] == 1:
-            gap = s_ref[-2] - s_ref[-1]
-            limit = max(limit, max(Ac.shape) * EPS * s_ref[0] / gap)
-        for got, ref in ((Y, Y_ref), (X, X_ref)):
-            assert np.allclose(got.conj().T @ got, np.eye(got.shape[1]), atol=1e-14)
-            if got.shape[1] == 1:
-                assert _sine_to_line(got, ref) <= limit
-        if Ac.shape[0] == Ac.shape[1] >= staircase._SIMPLE_POINT_MIN_ROWS:
-            widths.append(X.shape[1])
-        return s, Y, X
+    def recorder(kind, fn):
+        def recorded(a, *args, **kwargs):
+            if not paused:
+                taken.append((kind, np.shape(a)))
+            return fn(a, *args, **kwargs)
 
-    def compared_weyr(Ac, Bc, n_singular, tol, max_len, kernels, norms):
-        got = weyr_sequence(Ac, Bc, n_singular, tol, max_len, kernels, norms)
-        ref_kernels = _reference_point_kernels(Ac, tol, _chain_floor(Ac, 1, tol, norms))
-        ref = weyr_sequence(Ac, Bc, n_singular, tol, max_len, ref_kernels, norms)
-        assert got == ref
-        return got
+        return recorded
 
-    monkeypatch.setattr(staircase, "_point_kernels", compared_kernels)
-    monkeypatch.setattr(staircase, "_weyr_sequence", compared_weyr)
-    return widths
+    def unrecorded(fn):
+        def call(*args, **kwargs):
+            paused.append(True)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                paused.pop()
+
+        return call
+
+    monkeypatch.setattr(np.linalg, "svd", recorder("svd", svd))
+    monkeypatch.setattr(lapack, "zgetrf", recorder("lu", getrf))
+    monkeypatch.setattr(staircase, "normal_rank", unrecorded(staircase.normal_rank))
+    monkeypatch.setattr(staircase, "_choose_rotation", unrecorded(staircase._choose_rotation))
+    return taken
 
 
 class TestSimplePointKernels:
-    """At a square point of at least ``_SIMPLE_POINT_MIN_ROWS`` rows and
-    rank N - 1, the kernel pair comes from one LU and inverse iteration,
-    certified against the singular-value gap; the full SVD stays here as
-    the reference."""
+    """A lone eigenvalue, whose perturbation disc meets no other, is simple
+    and takes no factorization: no SVD, LU or cluster staircase."""
 
     @pytest.mark.parametrize("d", [32, 48])
     def test_planted_points_match_full_svd(self, monkeypatch, d):
+        # Every finite pole and zero of a planted system is simple: none
+        # takes a cluster reading, only the two infinite eigenvalues of the
+        # system pencil do.
+        import strongmin.staircase as staircase
         from strongmin.mcmillan import rational_structure
 
-        widths = _check_points_against_full_svd(monkeypatch)
+        read = []
+        real = staircase._cluster_reading
+
+        def recorded(S, T, members, z, tol, floor):
+            read.append(len(members))
+            return real(S, T, members, z, tol, floor)
+
+        monkeypatch.setattr(staircase, "_cluster_reading", recorded)
         s = rational_structure(planted_quadruple(d, d))
         assert s.mcmillan_degree == d - d // 4
-        assert widths.count(1) >= 2 * (d - d // 4)
+        assert len(s.finite_points) == 2 * (d - d // 4)
+        assert all(idx in ((-1,), (1,)) for idx in s.finite_points.values())
+        assert read == [2]
 
-    @pytest.mark.parametrize(
-        "blocks",
-        [
-            (jordan_block(0.5, 1), jordan_block(-1.0, 2), jordan_block(2.0, 3)),
-            (jordan_block(1.5, 4), jordan_block(-0.5, 1)),
-            (jordan_block(0.5, 2), jordan_block(0.5, 1), inf_block(2)),
-            (inf_block(3), inf_block(1), jordan_block(-2.0, 2)),
-            (L_block(0), L_block(2), jordan_block(0.7, 2), inf_block(2)),
-            (L_block(1).transpose(), L_block(2).transpose(), jordan_block(1.0, 3)),
-            (L_block(1), L_block(1).transpose(), jordan_block(-1.0, 1), inf_block(3)),
-        ],
-    )
-    def test_enlarged_kronecker_blocks(self, monkeypatch, blocks):
-        # The TestWeyrFromKernels mixtures with 24 simple eigenvalues added,
-        # so square ones reach the cutoff with their defective points.
-        # Regular ones visit a simple point at each added eigenvalue.
-        widths = _check_points_against_full_svd(monkeypatch)
+    @pytest.mark.parametrize("blocks", MIXTURES)
+    def test_enlarged_kronecker_blocks(self, blocks):
+        # The mixtures above with 24 simple eigenvalues added: each is
+        # reported right and unflagged, and a regular one keeps its
+        # dimension identity.  Three of them, J_4(1.5) + J_1(-0.5),
+        # inf_3 + inf_1 + J_2(-2) and L_1 + L_1^T + J_1(-1) + inf_3, once
+        # lost simple eigenvalues to a clustering radius shared by the
+        # whole spectrum.
         simple = np.random.default_rng(len(blocks)).uniform(3.0, 9.0, 24)
-        base = direct_sum(*blocks, Pencil(np.diag(simple), np.eye(24)))
-        rep = kronecker_structure(unitary_equivalent(base, 400))
-        if rep.normal_rank == base.rows == base.cols:
-            assert widths.count(1) >= 24
+        base, (finite, *rest) = kronecker_sum(*blocks)
+        base = direct_sum(base, Pencil(np.diag(simple), np.eye(24)))
+        finite = {**finite, **{float(v): (1,) for v in simple}}
+        P = unitary_equivalent(base, 400)
+        rep = kronecker_structure(P)
+        assert_structure(rep, (finite, *rest))
+        assert not rep.ambiguous
+        assert rep.dimension_identity(*P.shape)
 
-    def test_exact_zero_pivot_takes_full_svd(self):
-        import strongmin.staircase as staircase
-
-        n = 2 * staircase._SIMPLE_POINT_MIN_ROWS
-        Ac = np.diag(np.arange(1.0, n + 1)).astype(complex) - 3.0 * np.eye(n)
-        assert lapack.zgetrf(Ac)[2] == 3  # U[2, 2] is exactly zero
-        floor = _chain_floor(Ac, 1, 1e-8, (np.linalg.norm(Ac), np.sqrt(n)))
-        assert staircase._simple_point_kernels(Ac, 1e-8, floor) is None
-        got = _point_kernels(Ac, 1e-8, floor)
-        ref = _reference_point_kernels(Ac, 1e-8, floor)
-        assert ref[2].shape == (n, 1)
-        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+    def test_exact_zero_pivot_takes_full_svd(self, monkeypatch):
+        # diag(1, ..., 48) against the identity: QZ leaves it diagonal and
+        # each eigenvalue exact; all are lone, and nothing is factored.
+        taken = _record_factorizations(monkeypatch)
+        n = 48
+        rep = kronecker_structure(Pencil(np.diag(np.arange(1.0, n + 1)), np.eye(n)))
+        assert rep.finite_eigen == {complex(k): (1,) for k in range(1, n + 1)}
+        assert taken == []
 
     def test_failed_certificate_takes_full_svd(self):
-        # sigma_N = 1e-10 is below the rank threshold but far above rounding,
-        # so |Ac x| >= sigma_N exceeds what the certificate allows.
-        import strongmin.staircase as staircase
-
-        n = staircase._SIMPLE_POINT_MIN_ROWS + 8
-        rng = np.random.default_rng(3)
-        sv = np.append(np.linspace(2.0, 1.0, n - 1), 1e-10)
-        Ac = random_unitary(rng, n) @ np.diag(sv) @ random_unitary(rng, n)
-        floor = _chain_floor(Ac, 1, 1e-8, (np.linalg.norm(Ac), 1.0))
-        assert staircase._simple_point_kernels(Ac, 1e-8, floor) is None
-        got = _point_kernels(Ac, 1e-8, floor)
-        ref = _reference_point_kernels(Ac, 1e-8, floor)
-        assert ref[2].shape == (n, 1)
-        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+        # Two eigenvalues 1e-10 apart, below the default tolerance floor
+        # (about 5e-10 here) but far above rounding, are one semisimple
+        # double eigenvalue; at tol = 1e-15 they are two simple ones.
+        vals = np.append(np.linspace(2.0, 3.0, 30), [1.0, 1.0 + 1e-10])
+        P = unitary_equivalent(Pencil(np.diag(vals), np.eye(vals.size)), 3)
+        for tol, near_one in ((DEFAULT_TOL, [(1, 1)]), (1e-15, [(1,), (1,)])):
+            rep = kronecker_structure(P, tol=tol)
+            assert sorted(p for z, p in rep.finite_eigen.items() if abs(z - 1) < 1e-6) == near_one
+            assert rep.finite_count() == 32 and not rep.ambiguous
 
     def test_no_full_svd_at_simple_points(self, monkeypatch):
-        # SVD-shape guard: on planted d = 48 every point is square with at
-        # least 36 rows, above the cutoff, and none of kernel width at most
-        # one takes an SVD with vectors.
-        import strongmin.staircase as staircase
-        from strongmin.mcmillan import rational_structure
-
-        svd, point_kernels = np.linalg.svd, staircase._point_kernels
-        taken, simple = [], []
-
-        def recorded(a, *args, **kwargs):
-            taken.append((np.shape(a), kwargs.get("compute_uv", True)))
-            return svd(a, *args, **kwargs)
-
-        def watched(Ac, *args):
-            taken.clear()
-            s, Y, X = point_kernels(Ac, *args)
-            n = Ac.shape[0]
-            if Ac.shape == (n, n) and X.shape[1] <= 1:
-                simple.append(list(taken))
-            return s, Y, X
-
-        monkeypatch.setattr(np.linalg, "svd", recorded)
-        monkeypatch.setattr(staircase, "_point_kernels", watched)
-        rational_structure(planted_quadruple(48, 48))
-        assert len(simple) >= 2 * 36
-        assert all(uv is False for calls in simple for _, uv in calls)
+        # Guard: a square regular pencil whose eigenvalues are all lone takes
+        # no N x N SVD or LU past its normal-rank probe and rotation: no
+        # factorization at all, only one QZ.
+        taken = _record_factorizations(monkeypatch)
+        rng = np.random.default_rng(8)
+        N = 40
+        P = Pencil(rng.standard_normal((N, N)), rng.standard_normal((N, N)))
+        rep = kronecker_structure(P)
+        assert rep.finite_count() == N and not rep.ambiguous
+        assert taken == []
