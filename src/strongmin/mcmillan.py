@@ -151,7 +151,6 @@ def rational_structure(
     S = system_pencil(q)
     rep_S = kronecker_structure(S, tol, seed)
     normal_rank = rep_S.normal_rank - q.d
-
     ambiguous = rep_S.ambiguous
 
     finite = {}

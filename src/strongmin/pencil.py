@@ -223,10 +223,11 @@ def choose_rotation(P: Pencil, seed: int = 0, tol: float = DEFAULT_TOL) -> Rotat
 def _choose_rotation(P: Pencil, rank: int, seed: int, tol: float) -> Rotation:
     """:func:`choose_rotation` for a target rank ``rank <= min(m, n)``: the
     sampled angle maximising ``sigma_rank`` of the rotated leading
-    coefficient, which then has rank ``rank``.  A pencil of full column
-    rank target is sampled through its transpose (the rotation acts on the
-    coefficients alone, so it is the same), so the margin bounds apply
-    whenever the target is the full row or column rank."""
+    coefficient, which then has rank ``rank``.  A target equal to the
+    column count of a pencil with more rows is sampled on the transpose
+    (the rotation acts on the coefficients alone, so it is the same one),
+    so the margin bounds apply whenever the target is the full row or
+    column rank."""
     if rank == 0:
         return Rotation(1.0, 0.0, math.inf)
     if rank == P.cols < P.rows:

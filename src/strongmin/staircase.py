@@ -414,14 +414,16 @@ def _regular_part(R: Pencil, r: int, margin: float, tol: float):
     return X, eps, eta
 
 
-# Multiple of the distance to its nearest neighbour beyond which an
-# eigenvalue's first-order radius is not believed.  A radius that wide marks
-# one of a cluster, a rounding-split defective eigenvalue say, whose members
-# move together by far less than their first-order radii (Hoelder, not
-# Lipschitz, in the perturbation).  A size-k block split by rounding eps
-# spreads by at most (tol / eps)^(1/k) more at tol: 67 for k = 2 and the
-# default tol.
-_CLUSTER_SPREAD = 100.0
+# Multiple of the distance to its farthest partner to which an
+# eigenvalue's first-order radius is cut.  Partners are the eigenvalues
+# whose disc and its own each hold the other's centre: it is then one of a
+# cluster, a rounding-split defective eigenvalue say, whose first-order
+# radii grow with the inverse of the members' distances while the cluster
+# moves as a whole by amounts of the order of its own spread (Hoelder, not
+# Lipschitz, in the perturbation).  Ten spreads keep every member's disc
+# over the whole cluster, each pair within a twentieth of the sum of their
+# radii, without reaching eigenvalues ten spreads away.
+_CLUSTER_SPREAD = 10.0
 
 
 def _eigen_discs(S, T, floor):
@@ -433,11 +435,12 @@ def _eigen_discs(S, T, floor):
     substitution on ``S - w_i T``, and the first-order radius is
     ``floor (1 + |w_i|) |x| |y| / |y^H T x|``, with ``y^H T x = T_ii``.
     Pivots below ``eps (|S| + |w_i| |T|)`` are raised to it, as LAPACK's
-    ``ztgevc`` does.  A radius beyond ``_CLUSTER_SPREAD`` times the distance
-    to the nearest other eigenvalue (or one that overflowed) is cut back to
-    that, but never below ``floor (1 + |w_i|) / |T_ii|``, the radius of an
-    eigenvalue with orthogonal neighbours.  So every radius of a pencil of
-    two or more rows is finite.
+    ``ztgevc`` does.  An eigenvalue with partners (others whose disc and
+    its own each hold the other's centre) has its radius cut to
+    ``_CLUSTER_SPREAD`` times the distance to its farthest partner, but
+    never below ``floor (1 + |w_i|) / |T_ii|``, the radius of an eigenvalue
+    with orthogonal neighbours.  A radius that overflowed is infinite
+    before the cut.
     """
     k = S.shape[0]
     d = np.diagonal(T)
@@ -461,10 +464,13 @@ def _eigen_discs(S, T, floor):
                 )[0]
                 yy += np.vdot(y, y).real
             radii[i] *= np.sqrt(xx * yy)
-    gaps = np.abs(w[:, None] - w[None, :])
-    np.fill_diagonal(gaps, np.inf)
-    cap = np.maximum(_CLUSTER_SPREAD * gaps.min(axis=1), base)
-    return w, np.minimum(np.where(np.isnan(radii), np.inf, radii), cap)
+    radii[np.isnan(radii)] = np.inf
+    dist = np.abs(w[:, None] - w[None, :])
+    partners = dist <= np.minimum.outer(radii, radii)
+    np.fill_diagonal(partners, False)
+    reach = np.where(partners, dist, 0.0).max(axis=1)
+    cap = np.where(partners.any(axis=1), np.maximum(_CLUSTER_SPREAD * reach, base), np.inf)
+    return w, np.minimum(radii, cap)
 
 
 def _components(adjacent) -> list:

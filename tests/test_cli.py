@@ -515,10 +515,11 @@ class TestCommandLine:
 # Pairs (corpus seed, pipeline seed) answered wrongly by earlier versions:
 # rounding-split double points (90, 96), a doubly singular staircase on an
 # ill-conditioned rotation (70), a double pole and zero dropped together
-# (119), and a double pole at 0 split to +-1e-8i (139).
+# (119), a double pole at 0 split to +-1e-8i (139), and two blocks of size
+# 2 at infinity split by rounding into two tight pairs far apart (83).
 CORPUS_REGRESSIONS = [
     (90, 1), (90, 26), (96, 278), (96, 757), (70, 36), (70, 403), (70, 512),
-    (70, 892), (119, 15), (119, 219), (119, 293), (139, 1),
+    (70, 892), (119, 15), (119, 219), (119, 293), (139, 1), (83, 760),
 ]
 
 

@@ -62,7 +62,7 @@ def sweep(corpus_seeds, pipeline_seeds) -> int:
                 wrong += 1
                 quiet = rc == 0 and "warning:" not in err.getvalue()
                 silent += quiet
-                tag = "silent" if quiet else "flagged"
+                tag = "silent" if quiet else "loud"
                 print(f"corpus {cs} seed {ps}: {reason} (exit {rc}, {tag})", flush=True)
     print(f"{runs} runs, {wrong} wrong, {silent} of them silent")
     return 1 if wrong else 0
