@@ -212,8 +212,8 @@ def cmd_structure(args) -> int:
         return EXIT_ERROR
     if structure.ambiguous:
         print(
-            "warning: an eigenvalue clustering decision was a close call; "
-            "the structure may be wrong at this tolerance",
+            "warning: a rank or eigenvalue clustering decision was a close "
+            "call; the structure may be wrong at this tolerance",
             file=sys.stderr,
         )
     records = structure.reduction

@@ -65,6 +65,13 @@ def _gap_rule(s: np.ndarray, shape, tol: float, floor: float = 0.0):
     return rank, ambiguous
 
 
+def _near_threshold(s: np.ndarray, thr: float) -> bool:
+    """Whether a singular value lies within a factor 10 of the rank
+    threshold ``thr``, above or below: a tenfold change of tolerance would
+    then change the rank decision."""
+    return bool(np.any((s > thr / 10.0) & (s <= 10.0 * thr)))
+
+
 def _svd_decision(M, tol: float, floor: float):
     """Full SVD of a nonempty matrix with its rank decision."""
     A = as_complex_matrix(M, copy=False)

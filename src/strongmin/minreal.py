@@ -297,8 +297,8 @@ def strongly_minimal_reduce(
 def _strongly_minimal_reduce(q, tol, seed, order="co", form=None):
     """:func:`strongly_minimal_reduce` of a quadruple that passed
     ``validate_regular``.  ``form``, when given, is the staircase form of
-    its controllability pencil (from :func:`_minimality`), so the
-    controllable pass on ``q`` itself neither validates nor factors again.
+    its controllability pencil (from :func:`_minimality`), so the first
+    controllable pass neither validates nor factors ``q`` again.
     """
     m, n = q.m, q.n
     Wl = np.eye(m, dtype=complex)
@@ -308,11 +308,7 @@ def _strongly_minimal_reduce(q, tol, seed, order="co", form=None):
     for _ in range(_MAX_PASSES):
         for step in order:
             if step == "c":
-                if current is q:
-                    if form is None:
-                        form = separate_regular_right(
-                            controllability_pencil(q), tol, seed
-                        )
+                if form is not None and current is q:
                     current, rec = _deflate_controllable(q, form, tol, seed)
                 else:
                     current, rec = reduce_controllable(current, tol, seed)

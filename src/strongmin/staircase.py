@@ -31,7 +31,9 @@ and back substitution on the triangular factors each one's perturbation
 disc.  A lone eigenvalue, whose disc meets no other, is simple and takes no
 factorization; a cluster of eigenvalues is moved to the leading block of
 the Schur form and its block sizes are read off the staircase of that small
-block in the variable that sends the cluster's point to infinity.
+block in the variable that sends the cluster's point to infinity.  A
+decision within a factor 10 of its other outcome flags the report as
+ambiguous; a cluster that such a decision leaves undecided is not reported.
 """
 from __future__ import annotations
 
@@ -40,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import lapack
 
-from .linalg import DEFAULT_TOL, _rank_rule, col_compress
+from .linalg import DEFAULT_TOL, _near_threshold, _rank_rule, _svd_decision
 from .pencil import (
     Pencil,
     _choose_rotation,
@@ -92,17 +94,19 @@ def _right_minimal_indices(blocks) -> tuple:
 
 
 def _svd_kernel(M, tol, floor):
-    """Kernel basis of ``M`` and its rank, from a full SVD at the package rule."""
-    V, rank = col_compress(M, tol, floor)
-    return V[:, rank:], rank
+    """Kernel basis of ``M``, its rank from a full SVD at the package rule,
+    and whether that decision was a close call (:func:`_near_threshold`)."""
+    _, s, V, dec = _svd_decision(M, tol, floor)
+    return V[:, dec.rank :], dec.rank, _near_threshold(s, dec.tolerance_used)
 
 
 def _qr_kernel(M, tol, floor):
-    """Kernel basis of ``M``, certified to have full row rank, and that rank.
+    """Kernel basis of ``M``, certified to have full row rank, that rank,
+    and False: no rank is decided here, so there is no close call.
 
     The trailing ``n - m`` columns of the unitary factor of a Householder QR
     of ``M^H`` (n x m) span the kernel of ``M``; they are formed by applying
-    the QR's reflectors to ``[0; I]``.  No rank is decided here.
+    the QR's reflectors to ``[0; I]``.
     """
     m, n = M.shape
     qr, tau, _, info = lapack.zgeqrf(M.conj().T)
@@ -111,7 +115,7 @@ def _qr_kernel(M, tol, floor):
     K, _, info2 = lapack.zunmqr("L", "N", qr, tau, E, max(1, n - m))
     if info or info2:
         raise StaircaseError(f"LAPACK QR failed (info {info}, {info2})")
-    return K, m
+    return K, m, False
 
 
 def _trailing_reflectors(K):
@@ -151,8 +155,19 @@ def _staircase_floor(P: Pencil, tol: float) -> float:
     return tol * max(P.shape) * P.coefficient_scale()
 
 
-def _no_check(mw, rB, nu, s_rank):
+def _no_check(mw, rB, nu, s_rank, close):
     """A staircase step check that accepts every step."""
+
+
+def _noting_close(check, notes):
+    """``check``, also appending to ``notes`` whether each step made a
+    close rank decision."""
+
+    def noted(mw, rB, nu, s_rank, close):
+        check(mw, rB, nu, s_rank, close)
+        notes.append(close)
+
+    return noted
 
 
 def _staircase(P: Pencil, tol: float, check, kernel=_svd_kernel, floor=None):
@@ -163,12 +178,15 @@ def _staircase(P: Pencil, tol: float, check, kernel=_svd_kernel, floor=None):
     window shrinks to what is left.  Columns left without rows form a last
     step ``(nw, 0)`` of ``L_0`` blocks.  Thresholds are floored at
     ``floor``, by default the scale of the whole pencil
-    (:func:`_staircase_floor`).  ``check(mw, rB, nu, s_rank)`` (window rows, rank
-    of ``L1``, kernel width, rank of ``L0`` on the kernel) raises
+    (:func:`_staircase_floor`).  ``check(mw, rB, nu, s_rank, close)``
+    (window rows, rank of ``L1``, kernel width, rank of ``L0`` on the
+    kernel, and whether a singular value of either decision was within a
+    factor 10 of its threshold, :func:`_near_threshold`) raises
     :class:`StaircaseError` on a step the caller's problem rules out.
 
-    ``kernel(L1 window, tol, floor)`` returns a kernel basis of the window
-    and its rank: :func:`_svd_kernel` decides the rank by the package rule;
+    ``kernel(L1 window, tol, floor)`` returns a kernel basis of the window,
+    its rank and whether that was a close call: :func:`_svd_kernel` decides
+    the rank by the package rule;
     :func:`_qr_kernel` takes full row rank as given, for windows certified
     by :func:`separate_regular_right`.  The row decision on the kernel
     columns is a thin SVD of that ``mw x nu`` block at the package rule.
@@ -193,7 +211,7 @@ def _staircase(P: Pencil, tol: float, check, kernel=_svd_kernel, floor=None):
             blocks.append((nw, 0))
             nw = 0
             break
-        K, rB = kernel(B[:mw, :nw], tol, floor)
+        K, rB, close_k = kernel(B[:mw, :nw], tol, floor)
         nu = nw - rB
         if nu == 0:
             break
@@ -202,8 +220,8 @@ def _staircase(P: Pencil, tol: float, check, kernel=_svd_kernel, floor=None):
             _right_apply(X[:, :nw], cols)
         Ak = A[:mw, rB:nw]
         Us, sv, _ = np.linalg.svd(Ak, full_matrices=False)
-        s_rank = _rank_rule(sv, Ak.shape, tol, floor)[0]
-        check(mw, rB, nu, s_rank)
+        s_rank, thr = _rank_rule(sv, Ak.shape, tol, floor)
+        check(mw, rB, nu, s_rank, close_k or _near_threshold(sv, thr))
         if s_rank:
             rows = _trailing_reflectors(Us[:, :s_rank])
             for X in (A, B, U_acc):
@@ -258,7 +276,7 @@ def separate_regular_right(
     if normal_rank(P, tol, seed) < P.rows:
         raise StaircaseError("normal rank deficient rows")
 
-    def full_row_rank(mw, rB, nu, s_rank):
+    def full_row_rank(mw, rB, nu, s_rank, close):
         # The rotation gave the leading coefficient full row rank, and every
         # window must keep it.
         if rB < mw:
@@ -298,7 +316,7 @@ def split_infinite(P: Pencil, tol: float = DEFAULT_TOL):
     return U, W, transformed, n - nw, _blocks_at_infinity(blocks)
 
 
-def _regular_step(mw, rB, nu, s_rank):
+def _regular_step(mw, rB, nu, s_rank, close):
     """Staircase step check of a regular pencil: every step is square, the
     constant term having full column rank on the leading-coefficient
     kernel."""
@@ -331,11 +349,13 @@ class KroneckerReport:
     ``finite_eigen`` maps each finite eigenvalue to its partition of partial
     multiplicities (sorted descending); ``infinite_blocks`` is the multiset
     of Kronecker block sizes at infinity (k >= 1); the minimal index tuples
-    are sorted ascending.  ``ambiguous`` is set when an eigenvalue
-    clustering decision was a close call (a perturbation-disc test within a
-    factor 10 of its other outcome, or a cluster its reading split), or the
-    eigenvalue count does not reconcile with the normal rank and minimal
-    indices.
+    are sorted ascending.  ``ambiguous`` is set when a decision was a close
+    call, within a factor 10 of its other outcome (a rank decision of the
+    staircases that isolate the regular part, a perturbation-disc test, or
+    a rank decision of a cluster's reading), when a reading split a
+    cluster, or when the eigenvalue count does not reconcile with the
+    normal rank and minimal indices.  The eigenvalues of a cluster that was
+    a close call are left out of ``finite_eigen`` and ``infinite_blocks``.
     """
 
     normal_rank: int
@@ -393,25 +413,28 @@ def _regular_part(R: Pencil, r: int, margin: float, tol: float):
     column) rank of ``R``, the rotation's ``margin`` certifies the QR kernels
     of the loop on ``R`` (or its transpose), as in
     :func:`separate_regular_right`.  Every rank decision is floored at the
-    scale of ``R``.  Returns ``(X, eps, eta)``, ``X`` the regular part (its
-    transpose when the second loop ran).
+    scale of ``R``.  Returns ``(X, eps, eta, close)``, ``X`` the regular
+    part (its transpose when the second loop ran) and ``close`` whether a
+    rank decision of either loop was a close call.
     """
     m, n = R.shape
     floor = _staircase_floor(R, tol)
     eps = eta = ()
     X = R
+    notes = []
+    check = _noting_close(_no_check, notes)
     if r < n:
         kernel = _certified_kernel(R, margin, tol) if r == m else _svd_kernel
-        _, _, T, blocks, mw, nw = _staircase(R, tol, _no_check, kernel, floor)
+        _, _, T, blocks, mw, nw = _staircase(R, tol, check, kernel, floor)
         eps = _right_minimal_indices(blocks)
         X = Pencil(T.L0[:mw, :nw], T.L1[:mw, :nw])
     if X.rows > X.cols:
         X = X.transpose()
         kernel = _certified_kernel(X, margin, tol) if r == n else _svd_kernel
-        _, _, T, blocks, mw, nw = _staircase(X, tol, _no_check, kernel, floor)
+        _, _, T, blocks, mw, nw = _staircase(X, tol, check, kernel, floor)
         eta = _right_minimal_indices(blocks)
         X = Pencil(T.L0[:mw, :nw], T.L1[:mw, :nw])
-    return X, eps, eta
+    return X, eps, eta, any(notes)
 
 
 # Multiple of the distance to its farthest partner to which an
@@ -507,7 +530,8 @@ def _weakest_link_split(ratio) -> list:
 
 def _cluster_reading(S, T, members, z, tol, floor):
     """Block sizes at ``z`` of the eigenvalues ``members`` of the upper
-    triangular pair ``(S, T)``, or None where not all of them sit at ``z``.
+    triangular pair ``(S, T)`` and whether a rank decision of that reading
+    was a close call, or None where not all of them sit at ``z``.
 
     ``ztgsen`` moves the members to the leading k x k block.  In the
     variable ``nu = 1 / (mu - z)`` that block is the pencil with leading
@@ -527,14 +551,18 @@ def _cluster_reading(S, T, members, z, tol, floor):
         if info:
             return None
         S, T = S[:k, :k], T[:k, :k]
+    notes = []
     try:
         _, _, _, blocks, _, nw = _staircase(
-            Pencil(T, S - z * T), tol, _regular_step, floor=floor * (1 + abs(z))
+            Pencil(T, S - z * T),
+            tol,
+            _noting_close(_regular_step, notes),
+            floor=floor * (1 + abs(z)),
         )
         part = _blocks_at_infinity(blocks)
     except StaircaseError:
         return None
-    return None if nw else part
+    return None if nw else (part, any(notes))
 
 
 # Pairs whose distance is at most this many times the sum of their radii
@@ -553,17 +581,23 @@ def _eigen_structure(X: Pencil, mu_inf, tol: float, floor: float):
     infinity.  Clusters are the components of the graph of pairs of ratio
     at most ``_MERGE_RATIO``.  A lone eigenvalue is simple and takes no
     factorization: it is the point ``mu_inf`` at a ratio to infinity of at
-    most 1, and its own value beyond ``_MERGE_RATIO``; in between it is read
-    at ``mu_inf``.  A cluster of several is read at ``mu_inf`` when a member
-    is within ``_MERGE_RATIO`` of it, else (or when that fails) at its
-    centroid, by :func:`_cluster_reading`; a cluster no reading accepts is
-    cut by :func:`_weakest_link_split` and its parts are read in turn.
+    most ``1 / _MERGE_RATIO``, and its own value beyond ``_MERGE_RATIO``.
+    A cluster of several is read at ``mu_inf`` when a member is within
+    ``_MERGE_RATIO`` of it, else (or when that fails) at its centroid, by
+    :func:`_cluster_reading`; a cluster no reading accepts is cut by
+    :func:`_weakest_link_split` and its parts are read in turn.
+
+    A disc test decides when its ratio is at most ``1 / _MERGE_RATIO`` or
+    beyond ``_MERGE_RATIO``, and a reading when no singular value is within
+    a factor 10 of its threshold.  A cluster that its pairs of ratio at most
+    ``1 / _MERGE_RATIO`` do not join, a lone eigenvalue with a ratio to
+    infinity in between, or a reading with such a singular value, is a
+    close call: another structure holds at a tolerance ten times smaller
+    or larger.  Its eigenvalues are left out of the points, so that the
+    eigenvalue count does not reconcile.
 
     Returns ``(points, close)``: ``(z, partition, at_infinity)`` triples,
-    and whether a disc test was a close call: a cluster that the pairs of
-    ratio at most ``1 / _MERGE_RATIO`` do not already join, a ratio to
-    infinity between ``1 / _MERGE_RATIO`` and ``_MERGE_RATIO``, or a
-    reading that split a cluster.
+    and whether a cluster was a close call or its reading split it.
     """
     k = X.rows
     if k == 0:
@@ -574,32 +608,35 @@ def _eigen_structure(X: Pencil, mu_inf, tol: float, floor: float):
     w, radii = _eigen_discs(S, T, floor)
     ratio = np.abs(w[:, None] - w[None, :]) / (radii[:, None] + radii[None, :])
     to_inf = np.full(k, np.inf) if mu_inf is None else np.abs(w - mu_inf) / radii
-    clusters = _components(ratio <= _MERGE_RATIO)
     lo = 1.0 / _MERGE_RATIO
-    close = len(_components(ratio <= lo)) != len(clusters) or bool(
-        np.any((to_inf > lo) & (to_inf <= _MERGE_RATIO))
-    )
-
-    points = []
+    clusters = _components(ratio <= _MERGE_RATIO)
+    points, close = [], False
     while clusters:
         C = clusters.pop()
-        if C.size == 1 and to_inf[C[0]] <= 1.0:
-            points.append((mu_inf, (1,), True))
+        if C.size == 1:
+            if lo < to_inf[C[0]] <= _MERGE_RATIO:
+                close = True
+            else:
+                at_inf = to_inf[C[0]] <= lo
+                points.append((mu_inf, (1,), True) if at_inf else (complex(w[C[0]]), (1,), False))
+            continue
+        if len(_components(ratio[np.ix_(C, C)] <= lo)) > 1:
+            close = True
             continue
         readings = [(mu_inf, True)] if np.any(to_inf[C] <= _MERGE_RATIO) else []
-        if C.size > 1:
-            readings.append((complex(np.mean(w[C])), False))
+        readings.append((complex(np.mean(w[C])), False))
         for z, at_inf in readings:
-            part = _cluster_reading(S, T, C, z, tol, floor)
-            if part is not None:
-                points.append((z, part, at_inf))
+            reading = _cluster_reading(S, T, C, z, tol, floor)
+            if reading is not None:
+                part, close_reading = reading
+                if close_reading:
+                    close = True
+                else:
+                    points.append((z, part, at_inf))
                 break
         else:
-            if C.size == 1:
-                points.append((complex(w[C[0]]), (1,), False))
-            else:
-                close = True
-                clusters.extend(C[i] for i in _weakest_link_split(ratio[np.ix_(C, C)]))
+            close = True
+            clusters.extend(C[i] for i in _weakest_link_split(ratio[np.ix_(C, C)]))
     return points, close
 
 
@@ -618,8 +655,9 @@ def kronecker_structure(
     counts checked against the normal rank; points and partial
     multiplicities from one QZ of the regular part and the perturbation
     discs of its eigenvalues (:func:`_eigen_structure`).  ``ambiguous`` is
-    set when a disc test was a close call or the eigenvalue count does not
-    reconcile with the normal-rank bookkeeping.
+    set when a rank decision of those staircases or a clustering decision
+    was a close call, or the eigenvalue count does not reconcile with the
+    normal-rank bookkeeping.
     """
     m, n = P.shape
     scale = P.coefficient_scale()
@@ -646,7 +684,7 @@ def kronecker_structure(
     Pn = lambda_scale(P, d_lam)  # eigenvalues scale by d_lam exactly
     rot = _choose_rotation(Pn, r, seed, tol)
     Pr = mobius_rotate(Pn, rot)
-    X, eps, eta = _regular_part(Pr, r, rot.margin, tol)
+    X, eps, eta, close_staircase = _regular_part(Pr, r, rot.margin, tol)
     if len(eps) != n - r or len(eta) != m - r:
         raise StaircaseError(
             f"minimal index counts {len(eps)}, {len(eta)} disagree with normal rank {r}"
@@ -668,5 +706,9 @@ def kronecker_structure(
         right_minimal=eps,
         left_minimal=eta,
     )
-    report.ambiguous = close or report.eigenvalue_total() != r - sum(eps) - sum(eta)
+    report.ambiguous = (
+        close
+        or close_staircase
+        or report.eigenvalue_total() != r - sum(eps) - sum(eta)
+    )
     return report
