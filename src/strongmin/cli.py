@@ -10,7 +10,8 @@ Subcommands:
   scaling schemes and write the scaled pencil;
 * ``verify``    -- run the invariant battery on an input quadruple.
 
-Exit codes: 0 success, 1 input/usage error (a bad command line or an
+Exit codes: 0 success, 1 input/usage error (an unreadable or malformed
+input file, an unwritable output file, a bad command line or an
 out-of-range numeric argument included), 2 structural inconsistency
 (degree-sum failure), 3 scaling divergence.  JSON reports are byte
 deterministic for fixed (input, flags, seed); timing is printed only in
@@ -112,6 +113,31 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
+def _read_quadruple(path):
+    """The quadruple in ``path``, or None after printing an ``error:`` line."""
+    try:
+        return parse_quadruple(path)
+    except (OSError, QuadrupleFormatError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
+def _write(text: str, path) -> bool:
+    """Write ``text`` and a newline to the file ``path``, or to standard
+    output when ``path`` is empty.  False after printing an ``error:`` line
+    when the file cannot be written."""
+    if not path:
+        print(text)
+        return True
+    try:
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _complex_pair(z: complex) -> list:
     return [float(z.real), float(z.imag)]
 
@@ -144,15 +170,9 @@ def _minimality_to_dict(rep) -> dict:
     }
 
 
-def _print_report(doc: dict, args, elapsed: float) -> None:
+def _report_text(doc: dict, args, elapsed: float) -> str:
     if args.format == "json":
-        text = dumps_deterministic(doc)
-        if args.report:
-            with open(args.report, "w") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
-        return
+        return dumps_deterministic(doc)
     # Human-readable summary.
     out = []
     out.append(f"strongmin {doc['version']}  input sha256 {doc['input_digest'][:12]}")
@@ -187,20 +207,13 @@ def _print_report(doc: dict, args, elapsed: float) -> None:
     )
     out.append("degree-sum identity: " + ("ok" if doc["degree_sum_ok"] else "VIOLATED"))
     out.append(f"elapsed {elapsed:.3f}s")
-    text = "\n".join(out)
-    if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    return "\n".join(out)
 
 
 def cmd_structure(args) -> int:
     t0 = time.perf_counter()
-    try:
-        q = parse_quadruple(args.input)
-    except (OSError, QuadrupleFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    q = _read_quadruple(args.input)
+    if q is None:
         return EXIT_ERROR
     tol, seed = args.tol, args.seed
     try:
@@ -236,15 +249,14 @@ def cmd_structure(args) -> int:
         "structure": _structure_to_dict(structure),
         "degree_sum_ok": ok,
     }
-    _print_report(doc, args, time.perf_counter() - t0)
+    if not _write(_report_text(doc, args, time.perf_counter() - t0), args.report):
+        return EXIT_ERROR
     return EXIT_OK if ok else EXIT_STRUCTURE
 
 
 def cmd_reduce(args) -> int:
-    try:
-        q = parse_quadruple(args.input)
-    except (OSError, QuadrupleFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    q = _read_quadruple(args.input)
+    if q is None:
         return EXIT_ERROR
     try:
         q_min, Wl, Wr, records = strongly_minimal_reduce(
@@ -259,12 +271,8 @@ def cmd_reduce(args) -> int:
     doc["deflated"] = [
         {"side": r.side, "count": int(r.d_deflated)} for r in records
     ]
-    text = dumps_deterministic(doc)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    if not _write(dumps_deterministic(doc), args.output):
+        return EXIT_ERROR
     print(
         f"reduced state dimension {q.d} -> {q_min.d}"
         f" (deflated {q.d - q_min.d})",
@@ -274,10 +282,8 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_scale(args) -> int:
-    try:
-        q = parse_quadruple(args.input)
-    except (OSError, QuadrupleFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    q = _read_quadruple(args.input)
+    if q is None:
         return EXIT_ERROR
     S = system_pencil(q)
     try:
@@ -316,12 +322,8 @@ def cmd_scale(args) -> int:
     if result.gamma_left is not None:
         doc["gamma_left"] = result.gamma_left
         doc["gamma_right"] = result.gamma_right
-    text = dumps_deterministic(doc)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    if not _write(dumps_deterministic(doc), args.output):
+        return EXIT_ERROR
     print(
         "row norms: min {:.3e} max {:.3e}; col norms: min {:.3e} max {:.3e}".format(
             min(doc["row_norms"]), max(doc["row_norms"]),
@@ -333,10 +335,8 @@ def cmd_scale(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        q = parse_quadruple(args.input)
-    except (OSError, QuadrupleFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    q = _read_quadruple(args.input)
+    if q is None:
         return EXIT_ERROR
     tol, seed = args.tol, args.seed
     checks = []

@@ -90,6 +90,8 @@ def quadruple_to_dict(q: SystemQuadruple) -> dict:
 
 
 def quadruple_from_dict(doc: dict) -> SystemQuadruple:
+    if not isinstance(doc, dict):
+        raise QuadrupleFormatError(f"expected a JSON object, got {type(doc).__name__}")
     for field in ("schema", "d", "m", "n"):
         if field not in doc:
             raise QuadrupleFormatError(f"missing field {field!r}")
@@ -133,18 +135,18 @@ def write_quadruple(path, q: SystemQuadruple) -> None:
 def parse_quadruple(path) -> SystemQuadruple:
     """Read and validate a quadruple file.
 
-    NaN/Infinity literals are rejected at the JSON level; shape and
-    finiteness violations name the offending block.
+    The file must hold one JSON object in UTF-8.  NaN/Infinity literals
+    are rejected at the JSON level; shape and finiteness violations name
+    the offending block.
     """
-    with open(path) as fh:
-        text = fh.read()
 
     def _reject(token):
         raise QuadrupleFormatError(f"non-finite literal {token!r} in file")
 
     try:
-        doc = json.loads(text, parse_constant=_reject)
-    except json.JSONDecodeError as exc:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.loads(fh.read(), parse_constant=_reject)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise QuadrupleFormatError(f"invalid JSON: {exc}") from exc
     return quadruple_from_dict(doc)
 

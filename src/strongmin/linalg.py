@@ -53,18 +53,6 @@ def _rank_rule(s: np.ndarray, shape, tol: float, floor: float = 0.0):
     return int(np.count_nonzero(s > thr)), thr
 
 
-def _gap_rule(s: np.ndarray, shape, tol: float, floor: float = 0.0):
-    """:func:`rank_with_gap` from singular values ``s`` already computed
-    (largest first) for a nonempty matrix of the given shape."""
-    rank, _ = _rank_rule(s, shape, tol, floor)
-    ambiguous = False
-    if 0 < rank < s.size:
-        above, below = float(s[rank - 1]), float(s[rank])
-        if below > 0 and above / below < 10.0:
-            ambiguous = True
-    return rank, ambiguous
-
-
 def _near_threshold(s: np.ndarray, thr: float) -> bool:
     """Whether a singular value lies within a factor 10 of the rank
     threshold ``thr``, above or below: a tenfold change of tolerance would
@@ -103,21 +91,6 @@ def matrix_rank(M, tol: float = DEFAULT_TOL, floor: float = 0.0) -> int:
         return 0
     s = np.linalg.svd(A, compute_uv=False)
     return _rank_rule(s, A.shape, tol, floor)[0]
-
-
-def rank_with_gap(M, tol: float = DEFAULT_TOL, floor: float = 0.0):
-    """Rank plus a flag marking an ambiguous decision.
-
-    ``floor`` is an absolute lower bound on the threshold, used when the
-    matrix is a sub-block of a larger problem whose scale must prevail.
-    The decision is flagged when the singular values straddling the
-    threshold are within a factor 10 of each other, i.e. the rank would
-    flip under a modest change of ``tol``.
-    """
-    A = as_complex_matrix(M, copy=False)
-    if A.size == 0:
-        return 0, False
-    return _gap_rule(np.linalg.svd(A, compute_uv=False), A.shape, tol, floor)
 
 
 def row_compress(M, tol: float = DEFAULT_TOL, floor: float = 0.0):

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import DEFAULT_TOL
-from .minreal import MinimalityReport, _minimality, _strongly_minimal_reduce
-from .pencil import Pencil, SystemQuadruple, system_pencil
+from .minreal import MinimalityReport, _minimality_report, _reduce, _test_forms
+from .pencil import Pencil, SystemQuadruple, system_pencil, validate_regular
 from .staircase import infinity_mcmillan_indices, kronecker_structure, split_infinite
 
 
@@ -115,12 +115,15 @@ def infinite_pole_pencil(q: SystemQuadruple) -> Pencil:
 
 
 def _merge_point(mapping, point, indices, match_tol):
-    """Accumulate indices at a point, merging nearby keys."""
-    for key in mapping:
-        if abs(key - point) <= match_tol * max(1.0, abs(key), abs(point)):
-            mapping[key] = tuple(sorted(mapping[key] + tuple(indices)))
-            return
-    mapping[complex(point)] = tuple(sorted(indices))
+    """Accumulate indices at a point, merging it into the first nearby key."""
+    keys = np.fromiter(mapping, dtype=complex, count=len(mapping))
+    radius = match_tol * np.maximum(np.abs(keys), max(1.0, abs(point)))
+    near = np.abs(keys - point) <= radius
+    if near.any():
+        key = list(mapping)[near.argmax()]
+        mapping[key] = tuple(sorted(mapping[key] + tuple(indices)))
+    else:
+        mapping[complex(point)] = tuple(sorted(indices))
 
 
 def rational_structure(
@@ -140,13 +143,15 @@ def rational_structure(
     """
     report = records = None
     if not assume_strongly_minimal:
-        report, form = _minimality(q, tol, seed)
+        validate_regular(q, tol, seed)
+        forms = _test_forms(q, {}, tol, seed)
+        report = _minimality_report(forms, tol, seed)
         if not report.strongly_minimal:
             if not reduce_first:
                 raise NotStronglyMinimal(
                     "not strongly minimal; enable reduction or reduce first"
                 )
-            q, _, _, records = _strongly_minimal_reduce(q, tol, seed, form=form)
+            q, _, _, records = _reduce(q, forms, tol, seed)
 
     S = system_pencil(q)
     rep_S = kronecker_structure(S, tol, seed)

@@ -2,10 +2,12 @@
 
 A quadruple {A, B, C, D} (A regular) is strongly E-controllable when the
 pencil [A(lambda)  -B(lambda)] has no finite or infinite eigenvalues and
-strongly E-observable when the stacked pencil [A(lambda); C(lambda)] has
-none; it is strongly minimal when both hold.  The reduction deflates the
-offending eigenvalues with unitary transformations only, changing the
-transfer function by constant invertible factors on the left/right.
+strongly E-observable when its dual [A(lambda)^T  -C(lambda)^T] has none;
+it is strongly minimal when both hold.  The staircase form of each test
+pencil is computed once per quadruple and shared by the test, the
+reduction pass of its side and the reduction's final check.  The
+reduction deflates the offending eigenvalues with unitary transformations
+only, changing the transfer function by constant invertible factors.
 """
 from __future__ import annotations
 
@@ -27,6 +29,7 @@ from .pencil import (
 )
 from .staircase import (
     StaircaseError,
+    StaircaseForm,
     infinity_mcmillan_indices,
     kronecker_structure,
     separate_regular_right,
@@ -103,10 +106,39 @@ def _classified_eigenvalues(X: Pencil, tol: float, seed: int) -> np.ndarray:
     return np.asarray(vals, dtype=complex)
 
 
-def observability_pencil(q: SystemQuadruple) -> Pencil:
-    """The column pencil [A(lambda); C(lambda)]: the first d columns of S."""
-    S = system_pencil(q)
-    return Pencil(S.L0[:, : q.d], S.L1[:, : q.d])
+_SIDES = ("controllable", "observable")
+
+
+def _test_form(q: SystemQuadruple, side: str, tol: float, seed: int) -> StaircaseForm:
+    """Staircase form of the test pencil of one ``side`` of ``q``: [A  -B]
+    for ``"controllable"``, its dual [A^T  -C^T] (the controllability pencil
+    of ``q.transpose()``) for ``"observable"``.  Its ``d_reg`` counts the
+    side's eigenvalues, which a reduction pass on that side deflates."""
+    if side == "observable":
+        q = q.transpose()
+    return separate_regular_right(controllability_pencil(q), tol, seed)
+
+
+def _test_forms(q: SystemQuadruple, held: dict, tol: float, seed: int) -> dict:
+    """The test forms of both sides of ``q`` by side, taking those in
+    ``held`` (already computed for ``q``) as they are."""
+    return {
+        side: held[side] if side in held else _test_form(q, side, tol, seed)
+        for side in _SIDES
+    }
+
+
+def _minimality_report(forms: dict, tol: float, seed: int) -> MinimalityReport:
+    """The strong-minimality verdict read off both sides' test forms."""
+    offending = [
+        (complex(v), side)
+        for side in _SIDES
+        for v in _classified_eigenvalues(forms[side].regular_part, tol, seed)
+    ]
+    e_controllable, e_observable = (forms[side].d_reg == 0 for side in _SIDES)
+    return MinimalityReport(
+        e_controllable, e_observable, e_controllable and e_observable, offending
+    )
 
 
 def is_strongly_minimal(
@@ -118,29 +150,8 @@ def is_strongly_minimal(
     a quadruple is strongly minimal exactly when both counts are zero.  The
     offending eigenvalues (finite or ``inf``) are listed with their side.
     """
-    return _minimality(q, tol, seed)[0]
-
-
-def _minimality(q: SystemQuadruple, tol: float, seed: int):
-    """:func:`is_strongly_minimal`, plus the staircase form of the
-    controllability pencil, which a first reduction pass on ``q`` reuses."""
     validate_regular(q, tol, seed)
-    offending = []
-    forms = []
-    sides = (
-        ("controllable", controllability_pencil(q)),
-        ("observable", observability_pencil(q).transpose()),
-    )
-    for side, test_pencil in sides:
-        sf = separate_regular_right(test_pencil, tol, seed)
-        forms.append(sf)
-        for v in _classified_eigenvalues(sf.regular_part, tol, seed):
-            offending.append((complex(v), side))
-    e_controllable, e_observable = (sf.d_reg == 0 for sf in forms)
-    report = MinimalityReport(
-        e_controllable, e_observable, e_controllable and e_observable, offending
-    )
-    return report, forms[0]
+    return _minimality_report(_test_forms(q, {}, tol, seed), tol, seed)
 
 
 def _bordered_controllable(q: SystemQuadruple) -> Pencil:
@@ -187,14 +198,17 @@ def reduce_controllable(
     E-observability of the input is preserved.
     """
     validate_regular(q, tol, seed)
-    sf = separate_regular_right(controllability_pencil(q), tol, seed)
-    return _deflate_controllable(q, sf, tol, seed)
+    sf = _test_form(q, "controllable", tol, seed)
+    return _deflate(q, "controllable", sf, tol, seed)
 
 
-def _deflate_controllable(q: SystemQuadruple, sf, tol: float, seed: int):
-    """:func:`reduce_controllable` of a quadruple that passed
-    ``validate_regular``, given the staircase form ``sf`` of its
-    controllability pencil."""
+def _deflate(q: SystemQuadruple, side: str, sf: StaircaseForm, tol: float, seed: int):
+    """One reduction pass on ``side`` of ``q``, given the staircase form
+    ``sf`` of that side's test pencil (:func:`_test_form`).  The observable
+    pass is the controllable pass of the transposed quadruple."""
+    if side == "observable":
+        q_t, rec = _deflate(q.transpose(), "controllable", sf, tol, seed)
+        return q_t.transpose(), replace(rec, W33=rec.W33.T.copy(), side=side)
     d, m, n = q.d, q.m, q.n
     r = sf.d_reg
     if r == 0:
@@ -265,8 +279,9 @@ def reduce_observable(
     (``W33`` is m x m invertible).  Implemented by reducing the transposed
     system and transposing back.
     """
-    q_t, rec_t = reduce_controllable(q.transpose(), tol, seed)
-    return q_t.transpose(), replace(rec_t, W33=rec_t.W33.T.copy(), side="observable")
+    validate_regular(q, tol, seed)
+    sf = _test_form(q, "observable", tol, seed)
+    return _deflate(q, "observable", sf, tol, seed)
 
 
 # Reduction passes strongly_minimal_reduce makes before giving up.
@@ -291,33 +306,35 @@ def strongly_minimal_reduce(
     if order not in ("co", "oc"):
         raise ValueError("order must be 'co' or 'oc'")
     validate_regular(q, tol, seed)
-    return _strongly_minimal_reduce(q, tol, seed, order)
+    return _reduce(q, {}, tol, seed, order)
 
 
-def _strongly_minimal_reduce(q, tol, seed, order="co", form=None):
-    """:func:`strongly_minimal_reduce` of a quadruple that passed
-    ``validate_regular``.  ``form``, when given, is the staircase form of
-    its controllability pencil (from :func:`_minimality`), so the first
-    controllable pass neither validates nor factors ``q`` again.
-    """
-    m, n = q.m, q.n
-    Wl = np.eye(m, dtype=complex)
-    Wr = np.eye(n, dtype=complex)
+def _reduce(q: SystemQuadruple, forms: dict, tol: float, seed: int, order: str = "co"):
+    """:func:`strongly_minimal_reduce` of a validated ``q`` whose test forms
+    ``forms`` (by side) are already computed.  The loop holds the forms of
+    its current quadruple; a pass that deflates nothing keeps both, and the
+    end-of-round check reads ``d_reg`` off them.  Derived quadruples need
+    no validation: a derived A is the trailing diagonal block of a
+    block-triangular unitary equivalent of the validated A (the leak check
+    of :func:`_deflate` enforces the zero block)."""
+    Wl = np.eye(q.m, dtype=complex)
+    Wr = np.eye(q.n, dtype=complex)
     records = []
-    current = q
+    forms = dict(forms)
     for _ in range(_MAX_PASSES):
         for step in order:
-            if step == "c":
-                if form is not None and current is q:
-                    current, rec = _deflate_controllable(q, form, tol, seed)
-                else:
-                    current, rec = reduce_controllable(current, tol, seed)
+            side = "controllable" if step == "c" else "observable"
+            if side not in forms:
+                forms[side] = _test_form(q, side, tol, seed)
+            reduced, rec = _deflate(q, side, forms[side], tol, seed)
+            if rec.d_deflated:
+                q, forms = reduced, {}
+            if side == "controllable":
                 Wr = Wr @ rec.W33
             else:
-                current, rec = reduce_observable(current, tol, seed)
                 Wl = rec.W33 @ Wl
             records.append(rec)
-        report = is_strongly_minimal(current, tol, seed)
-        if report.strongly_minimal:
-            return current, Wl, Wr, records
+        forms = _test_forms(q, forms, tol, seed)
+        if all(sf.d_reg == 0 for sf in forms.values()):
+            return q, Wl, Wr, records
     raise ReductionError("reduction did not reach a strongly minimal quadruple")

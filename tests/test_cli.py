@@ -96,6 +96,26 @@ class TestFileFormat:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("body", ["5", "null", "true", "[]", '"q"'])
+    def test_top_level_not_an_object_rejected(self, tmp_path, capsys, body):
+        path = tmp_path / "q.json"
+        path.write_text(body)
+        assert main(["structure", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: expected a JSON object, got ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["structure", "reduce", "scale", "verify"])
+    def test_non_utf8_file_rejected(self, tmp_path, capsys, command):
+        path = tmp_path / "q.json"
+        path.write_bytes(json.dumps(minimal_doc()).encode("utf-16"))
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: invalid JSON: 'utf-8' codec can't decode")
+        assert captured.err.count("\n") == 1
+
     def test_int_and_bool_entries_accepted(self):
         doc = minimal_doc()
         doc["A1"] = [[2, False]]
@@ -359,15 +379,35 @@ class TestScaleCommand:
         assert "gamma_left" in doc and "gamma_right" in doc
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["structure", "--report"], ["reduce", "--output"], ["scale", "--output"]],
+    ids=["structure", "reduce", "scale"],
+)
+def test_unwritable_output_is_an_error(tmp_path, capsys, command):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(minimal_doc()))
+    target = tmp_path / "missing" / "out.json"
+    assert main([command[0], str(path), command[1], str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert str(target) in captured.err
+    assert captured.err.count("\n") == 1
+
+
 class TestVerifyCommand:
-    def test_reduction_checked_once(self, tmp_path, capsys, monkeypatch):
-        # strongly_minimal_reduce returns only after its own strong-minimality
-        # check passes, so verify does not repeat it.
-        import strongmin.cli as cli
+    def test_reduction_checked_once(
+        self, tmp_path, capsys, monkeypatch, counted_test_forms
+    ):
+        # strongly_minimal_reduce returns only after its own check of the
+        # held staircase forms passes, so verify factors no test pencil
+        # twice and never calls is_strongly_minimal.
         import strongmin.minreal as minreal
         from corpus import exact_instance
 
         path = write_system(tmp_path, exact_instance(10)[0].to_numeric())
+        staircases, _ = counted_test_forms
         calls = []
         check = minreal.is_strongly_minimal
 
@@ -376,11 +416,10 @@ class TestVerifyCommand:
             return check(*args, **kwargs)
 
         monkeypatch.setattr(minreal, "is_strongly_minimal", counted)
-        # Also any binding the CLI module holds itself.
-        monkeypatch.setattr(cli, "is_strongly_minimal", counted, raising=False)
         rc = main(["verify", path])
         assert rc == 0
-        assert len(calls) == 1
+        assert staircases and len(staircases) == len(set(staircases))
+        assert calls == []
         assert capsys.readouterr().out == (
             "PASS  reduction reaches a strongly minimal quadruple  (d 2 -> 0)\n"
             "PASS  transfer function preserved up to constant factors"

@@ -7,7 +7,6 @@ from strongmin.linalg import (
     eig_pair,
     matrix_rank,
     rank_revealing,
-    rank_with_gap,
     row_compress,
 )
 
@@ -138,7 +137,7 @@ def test_as_complex_matrix_copy_false_reads_in_place():
         as_complex_matrix(np.ones(3, dtype=complex), copy=False)
 
 
-@pytest.mark.parametrize("rank_fn", [matrix_rank, rank_with_gap, rank_revealing])
+@pytest.mark.parametrize("rank_fn", [matrix_rank, rank_revealing])
 def test_rank_helpers_reject_non_finite(rank_fn):
     with pytest.raises(ValueError, match="non-finite"):
         rank_fn(np.array([[np.inf, 0.0], [0.0, 1.0]], dtype=complex))

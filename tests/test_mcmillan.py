@@ -258,10 +258,9 @@ def test_infinite_poles_from_staircase_match_kronecker_report(seed):
     assert with_poles >= 10
 
 
-def test_structure_query_svd_count(monkeypatch):
-    # Work guard: one structure query on a planted d = 16 system (4 of its
-    # states uncontrollable) makes 90 SVDs.  An SVD per eigenvalue, as a
-    # factorization at every point would take, pushes it over the ceiling.
+def _planted_d16():
+    """A planted d = 16 state-space system whose states 0-3 are
+    uncontrollable."""
     from strongmin.pencil import state_space_quadruple
 
     rng = np.random.default_rng(1)
@@ -272,7 +271,14 @@ def test_structure_query_svd_count(monkeypatch):
     G[:k] = 0.0
     H = rng.standard_normal((2, d))
     D = rng.standard_normal((2, 2))
-    q = state_space_quadruple(F, G, H, D)
+    return state_space_quadruple(F, G, H, D)
+
+
+def test_structure_query_svd_count(monkeypatch):
+    # Work guard: one structure query on a planted d = 16 system (4 of its
+    # states uncontrollable) makes 80 SVDs.  An SVD per eigenvalue, as a
+    # factorization at every point would take, pushes it over the ceiling.
+    q = _planted_d16()
     calls = []
     svd = np.linalg.svd
 
@@ -282,8 +288,8 @@ def test_structure_query_svd_count(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counted)
     s = rational_structure(q)
-    assert s.mcmillan_degree == d - k
-    assert len(calls) <= 90
+    assert s.mcmillan_degree == 12
+    assert len(calls) <= 80
 
 
 def test_structure_query_svd_shapes(monkeypatch):
@@ -291,17 +297,7 @@ def test_structure_query_svd_shapes(monkeypatch):
     # structure query is of a matrix no taller than the system pencil
     # (d + m rows).  A 2N x 2N chain matrix per eigenvalue would be twice
     # that.
-    from strongmin.pencil import state_space_quadruple
-
-    rng = np.random.default_rng(1)
-    d, k = 16, 4
-    F = rng.standard_normal((d, d))
-    F[:k, k:] = 0.0
-    G = rng.standard_normal((d, 2))
-    G[:k] = 0.0
-    H = rng.standard_normal((2, d))
-    D = rng.standard_normal((2, 2))
-    q = state_space_quadruple(F, G, H, D)
+    q = _planted_d16()
     rows = []
     svd = np.linalg.svd
 
@@ -311,43 +307,61 @@ def test_structure_query_svd_shapes(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", recorded)
     s = rational_structure(q)
-    assert s.mcmillan_degree == d - k
-    assert max(rows) <= d + 2
+    assert s.mcmillan_degree == 12
+    assert max(rows) <= 16 + 2
 
 
-def test_structure_query_factors_each_staircase_once(monkeypatch):
+def test_structure_query_factors_each_staircase_once(counted_test_forms):
     # The reduction of a quadruple found not strongly minimal reuses the
-    # controllability staircase of that test, and no quadruple is validated
-    # twice: no two staircases or regularity checks of one query see the
-    # same input.
-    import strongmin.minreal as minreal
-    from strongmin.pencil import state_space_quadruple
+    # test's staircase forms, a pass that deflates nothing keeps its form
+    # for the final check, and only the input is validated: the test (2),
+    # the observable pass after the controllable one deflated (1) and the
+    # check's controllable side (1).
+    staircases, validated = counted_test_forms
+    s = rational_structure(_planted_d16())
+    assert s.mcmillan_degree == 12
+    assert len(staircases) == len(set(staircases)) == 4
+    assert len(validated) == len(set(validated)) == 1
 
-    rng = np.random.default_rng(1)
-    d, k = 16, 4
-    F = rng.standard_normal((d, d))
-    F[:k, k:] = 0.0
-    G = rng.standard_normal((d, 2))
-    G[:k] = 0.0
-    H = rng.standard_normal((2, d))
-    D = rng.standard_normal((2, 2))
-    staircases, validated = [], []
-    staircase, validate = minreal.separate_regular_right, minreal.validate_regular
 
-    def key(*pencils):
-        return b"".join(c.tobytes() for P in pencils for c in (P.L0, P.L1))
+@pytest.mark.parametrize("order, count", [("co", 3), ("oc", 4)])
+def test_reduction_factors_each_staircase_once(counted_test_forms, order, count):
+    # "co": the controllable pass (1) deflates, the observable pass (1)
+    # deflates nothing and keeps its form, the check adds the controllable
+    # side (1).  "oc": the observable pass (1) keeps its form, the
+    # controllable pass (1) deflates, the check needs both sides (2).
+    staircases, validated = counted_test_forms
+    q_min, _, _, records = strongly_minimal_reduce(_planted_d16(), order=order)
+    assert q_min.d == 12
+    assert len(staircases) == len(set(staircases)) == count
+    assert len(validated) == len(set(validated)) == 1
 
-    def counted_staircase(P, tol, seed):
-        staircases.append(key(P))
-        return staircase(P, tol, seed)
 
-    def counted_validate(q, tol, seed):
-        validated.append(key(q.A, q.B, q.C, q.D))
-        return validate(q, tol, seed)
+def _merge_point_loop(mapping, point, indices, match_tol):
+    """Reference for ``_merge_point``: the per-key Python loop."""
+    for key in mapping:
+        if abs(key - point) <= match_tol * max(1.0, abs(key), abs(point)):
+            mapping[key] = tuple(sorted(mapping[key] + tuple(indices)))
+            return
+    mapping[complex(point)] = tuple(sorted(indices))
 
-    monkeypatch.setattr(minreal, "separate_regular_right", counted_staircase)
-    monkeypatch.setattr(minreal, "validate_regular", counted_validate)
-    s = rational_structure(state_space_quadruple(F, G, H, D))
-    assert s.mcmillan_degree == d - k
-    assert len(staircases) == len(set(staircases)) == 5
-    assert len(validated) == len(set(validated)) == 3
+
+@pytest.mark.parametrize("seed", range(3))
+def test_merge_point_matches_loop(seed):
+    # Clusters of points at every scale, spread around the merge radius, so
+    # that some points lie within the radius of two keys.
+    from strongmin.mcmillan import _merge_point
+
+    rng = np.random.default_rng(seed)
+    scales = 10.0 ** rng.uniform(-3, 6, 12)
+    centres = scales * np.exp(2j * np.pi * rng.uniform(size=12))
+    got, want = {}, {}
+    for _ in range(150):
+        c = centres[rng.integers(12)]
+        offset = rng.uniform(0, 2) * np.exp(2j * np.pi * rng.uniform())
+        z = c + 1e-8 * max(1.0, abs(c)) * offset
+        indices = [int(k) for k in rng.integers(-3, 4, rng.integers(1, 3))]
+        _merge_point(got, z, indices, 1e-8)
+        _merge_point_loop(want, z, indices, 1e-8)
+    assert list(got.items()) == list(want.items())
+    assert len(want) > 12

@@ -90,6 +90,59 @@ class TestIsStronglyMinimal:
         assert not rep.e_observable
 
 
+def _unobservable_state_space(seed, d=6, k=2):
+    """A state-space quadruple whose states 0..k-1 are unobservable: they
+    span an F-invariant subspace in the kernel of H."""
+    from strongmin.pencil import state_space_quadruple
+
+    rng = np.random.default_rng(seed)
+    F = rng.standard_normal((d, d))
+    F[k:, :k] = 0.0
+    H = rng.standard_normal((2, d))
+    H[:, :k] = 0.0
+    return state_space_quadruple(F, rng.standard_normal((d, 2)), H)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: _unobservable_state_space(30), id="d6-k2"),
+        pytest.param(lambda: _unobservable_state_space(31, d=7, k=3), id="d7-k3"),
+        # The dual of a system with four infinite uncontrollable eigenvalues.
+        pytest.param(
+            lambda: example_polynomial_system(
+                *random_e5_e1(np.random.default_rng(7))
+            ).transpose(),
+            id="infinite",
+        ),
+    ],
+)
+def test_observable_offending_eigenvalues_match_stacked_pencil(build):
+    # The observable side is tested on the dual pencil [A^T  -C^T], whose
+    # eigenvalues are those of the [A; C] slice of S.
+    from scipy.optimize import linear_sum_assignment
+
+    from strongmin.minreal import _classified_eigenvalues
+    from strongmin.staircase import separate_regular_right
+
+    q = build()
+    report = is_strongly_minimal(q)
+    got = [v for v, side in report.offending_eigenvalues if side == "observable"]
+    S = system_pencil(q)
+    stacked = Pencil(S.L0[:, : q.d], S.L1[:, : q.d]).transpose()
+    sf = separate_regular_right(stacked, 1e-12, 0)
+    want = list(_classified_eigenvalues(sf.regular_part, 1e-12, 0))
+    assert len(got) == len(want) > 0
+    got_inf = sorted(np.isinf(v) for v in got)
+    assert got_inf == sorted(np.isinf(v) for v in want)
+    got_fin = np.array([v for v in got if np.isfinite(v)])
+    want_fin = np.array([v for v in want if np.isfinite(v)])
+    cost = np.abs(got_fin[:, None] - want_fin[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    rel = cost[rows, cols] / np.maximum(1.0, np.abs(want_fin[cols]))
+    assert np.all(rel <= 1e-12)
+
+
 class TestReduceControllable:
     def test_already_controllable_identity(self):
         q = random_state_space(3)
@@ -229,7 +282,7 @@ class TestInfinitePropertyLink:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_dual_implication(self, seed):
-        from strongmin.minreal import _bordered_observable, observability_pencil
+        from strongmin.minreal import _bordered_observable, controllability_pencil
         from strongmin.staircase import (
             infinity_mcmillan_indices,
             kronecker_structure,
@@ -237,7 +290,8 @@ class TestInfinitePropertyLink:
         )
 
         q = random_state_space(10 + seed, d=3, m=2, n=2)
-        sf = separate_regular_right(observability_pencil(q).transpose())
+        # The dual pencil [A^T  -C^T] of the strong observability test.
+        sf = separate_regular_right(controllability_pencil(q.transpose()))
         assert sf.d_reg == 0
         rep = kronecker_structure(_bordered_observable(q))
         assert infinity_mcmillan_indices(rep) == ()

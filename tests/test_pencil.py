@@ -112,7 +112,6 @@ class TestSystemMatrixLayout:
             _bordered_controllable,
             _bordered_observable,
             controllability_pencil,
-            observability_pencil,
         )
 
         q = random_quadruple(np.random.default_rng(7 + d + 10 * m + 100 * n), d, m, n)
@@ -124,8 +123,8 @@ class TestSystemMatrixLayout:
         expected = {
             "[A -B]": (controllability_pencil,
                        np.hstack([A0, -B0]), np.hstack([A1, -B1])),
-            "[A; C]": (observability_pencil,
-                       np.vstack([A0, C0]), np.vstack([A1, C1])),
+            "[A^T -C^T]": (lambda q: controllability_pencil(q.transpose()),
+                           np.hstack([A0.T, -C0.T]), np.hstack([A1.T, -C1.T])),
             "[S, [0; -I]]": (
                 _bordered_controllable,
                 np.vstack([np.hstack([A0, -B0, Zdm]), np.hstack([C0, D0, Im])]),
