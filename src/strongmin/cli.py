@@ -40,7 +40,7 @@ from .fileio import (
 )
 from .linalg import DEFAULT_TOL, matrix_rank
 from .mcmillan import degree_sum_check, rational_structure
-from .minreal import is_strongly_irreducible, strongly_minimal_reduce
+from .minreal import _reduce, is_strongly_irreducible, strongly_minimal_reduce
 from .mcmillan import NotStronglyMinimal
 from .minreal import ReductionError
 from .pencil import (
@@ -48,6 +48,7 @@ from .pencil import (
     SingularPencilError,
     system_pencil,
     transfer_eval,
+    validate_regular,
 )
 from .staircase import StaircaseError
 
@@ -350,8 +351,6 @@ def cmd_verify(args) -> int:
         print(f"{'PASS' if ok else 'FAIL'}  {name}" + (f"  ({detail})" if detail else ""))
         return ok
 
-    from .pencil import validate_regular
-
     try:
         validate_regular(q, tol, seed)
     except SingularPencilError:
@@ -361,9 +360,11 @@ def cmd_verify(args) -> int:
     state = {}
 
     def do_reduce():
-        # The reduction returns only once its own strong-minimality check
-        # passes, and raises ReductionError otherwise.
-        q_min, Wl, Wr, _ = strongly_minimal_reduce(q, tol, seed)
+        # strongly_minimal_reduce of the input validated above, without
+        # validating it again.  The reduction returns only once its own
+        # strong-minimality check passes, and raises ReductionError
+        # otherwise.
+        q_min, Wl, Wr, _ = _reduce(q, {}, tol, seed)
         state.update(q_min=q_min, Wl=Wl, Wr=Wr)
         return True, f"d {q.d} -> {q_min.d}"
 

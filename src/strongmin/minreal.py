@@ -313,14 +313,16 @@ def _reduce(q: SystemQuadruple, forms: dict, tol: float, seed: int, order: str =
     """:func:`strongly_minimal_reduce` of a validated ``q`` whose test forms
     ``forms`` (by side) are already computed.  The loop holds the forms of
     its current quadruple; a pass that deflates nothing keeps both, and the
-    end-of-round check reads ``d_reg`` off them.  Derived quadruples need
-    no validation: a derived A is the trailing diagonal block of a
-    block-triangular unitary equivalent of the validated A (the leak check
-    of :func:`_deflate` enforces the zero block)."""
+    end-of-round check reads ``d_reg`` off them.  ``forms`` is handed over:
+    the first pass that deflates empties it, so that a caller's reference
+    keeps no form of the input alive through the rest of the reduction.
+    Derived quadruples need no validation: a derived A is the trailing
+    diagonal block of a block-triangular unitary equivalent of the
+    validated A (the leak check of :func:`_deflate` enforces the zero
+    block)."""
     Wl = np.eye(q.m, dtype=complex)
     Wr = np.eye(q.n, dtype=complex)
     records = []
-    forms = dict(forms)
     for _ in range(_MAX_PASSES):
         for step in order:
             side = "controllable" if step == "c" else "observable"
@@ -328,7 +330,8 @@ def _reduce(q: SystemQuadruple, forms: dict, tol: float, seed: int, order: str =
                 forms[side] = _test_form(q, side, tol, seed)
             reduced, rec = _deflate(q, side, forms[side], tol, seed)
             if rec.d_deflated:
-                q, forms = reduced, {}
+                q = reduced
+                forms.clear()
             if side == "controllable":
                 Wr = Wr @ rec.W33
             else:

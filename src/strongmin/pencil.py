@@ -198,9 +198,14 @@ def choose_rotation(P: Pencil, seed: int = 0, tol: float = DEFAULT_TOL) -> Rotat
     singular value is small produces ill-conditioned kernel extractions in
     the staircase that follows, so the best-conditioned candidate among the
     samples is returned rather than the first admissible one.  The identity
-    rotation is kept whenever ``L1`` is itself comfortably full row rank.
-    Rank tests are floored at the joint coefficient scale so that a leading
-    coefficient consisting of rounding noise is not mistaken for full rank.
+    rotation is kept whenever ``L1`` is itself comfortably full row rank:
+    ``sigma_m(L1) >= 0.05 * |(d * L0, L1)|_F``, ``d`` the power of 2 of
+    :func:`default_lambda_scale`.  On that lambda-balanced scale the test
+    does not change under ``lambda -> 2^k lambda``, and ``[lambda*I - F,
+    -G]`` keeps the identity however large ``F`` is; a pencil that is
+    already balanced (``d = 1``) is judged on its own norm.  Rank tests are
+    floored at the joint coefficient scale so that a leading coefficient
+    consisting of rounding noise is not mistaken for full rank.
 
     From ``_BOUND_MIN_ROWS`` rows on, once some candidate has a positive
     margin, each sampled angle is first bounded by :class:`_MarginBound`:
@@ -233,14 +238,17 @@ def _choose_rotation(P: Pencil, rank: int, seed: int, tol: float) -> Rotation:
     if rank == P.cols < P.rows:
         P = P.transpose()
     m = P.rows
-    jscale = P.coefficient_scale()
+    n0, n1 = np.linalg.norm(P.L0), np.linalg.norm(P.L1)
+    jscale = math.hypot(n0, n1)  # the joint scale, P.coefficient_scale()
     if jscale == 0:
         raise RotationError("no admissible rotation found")
     floor = tol * max(P.shape) * jscale
 
-    # One SVD of L1 gives both its margin and its rank decision.
+    # One SVD of L1 gives both its margin and its rank decision.  The
+    # identity is judged on the lambda-balanced scale, so that the decision
+    # does not change under lambda -> 2^k lambda.
     s1 = np.linalg.svd(P.L1, compute_uv=False)
-    if s1[rank - 1] >= 0.05 * jscale:
+    if s1[rank - 1] >= 0.05 * math.hypot(_balancing_power(n0, n1) * n0, n1):
         return Rotation(1.0, 0.0, float(s1[rank - 1]))
     rng = np.random.default_rng(seed)
     best = None
@@ -288,8 +296,11 @@ def default_lambda_scale(P: Pencil) -> float:
     The scaled pencil has coefficients ``(d_lambda * L0, L1)``, so the
     equalizing factor is the rounded ratio ``|L1| / |L0|``.
     """
-    n0 = np.linalg.norm(P.L0)
-    n1 = np.linalg.norm(P.L1)
+    return _balancing_power(np.linalg.norm(P.L0), np.linalg.norm(P.L1))
+
+
+def _balancing_power(n0: float, n1: float) -> float:
+    """:func:`default_lambda_scale` of coefficients of norms ``n0``, ``n1``."""
     if n0 == 0 or n1 == 0:
         return 1.0
     return float(2.0 ** round(math.log2(n1 / n0)))

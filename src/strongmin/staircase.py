@@ -11,11 +11,14 @@ in the rotated variable), after which a single staircase loop of alternating
 column/row compressions deflates the regular part.  The rotation's margin
 certifies, once, that every window of the leading coefficient keeps full
 row rank (Cauchy interlacing, with a rounding pad), so each window's kernel
-comes from a Householder QR rather than an SVD.  ``split_infinite`` runs
-the same loop, unrotated and with SVD rank decisions, to deflate the
-infinite part of a regular pencil; its kernel widths are the Weyr
-characteristic at infinity, from which it also reads the block sizes at
-infinity.  Either way each step's column and row transforms are applied as
+comes from a Householder QR rather than an SVD; where the leading
+coefficient also has orthonormal rows (``[I 0]`` of a state-space test
+pencil), only the first window is factored and each later kernel is read
+off the rows the step before moved out (Van Dooren, IEEE TAC 26, 1981;
+Varga, Kybernetika 26, 1990).  ``split_infinite`` runs the same loop,
+unrotated and with SVD rank decisions, to deflate the infinite part of a
+regular pencil; its kernel widths are the Weyr characteristic at infinity,
+from which it also reads the block sizes at infinity.  Either way each step's column and row transforms are applied as
 the few Householder reflectors of a kernel-width basis, never as dense
 unitaries.
 
@@ -45,6 +48,7 @@ from scipy.linalg import lapack
 from .linalg import DEFAULT_TOL, _near_threshold, _rank_rule, _svd_decision
 from .pencil import (
     Pencil,
+    RotationError,
     _choose_rotation,
     choose_rotation,
     default_lambda_scale,
@@ -93,21 +97,24 @@ def _right_minimal_indices(blocks) -> tuple:
     return tuple(sorted(eps))
 
 
-def _svd_kernel(M, tol, floor):
-    """Kernel basis of ``M``, its rank from a full SVD at the package rule,
-    and whether that decision was a close call (:func:`_near_threshold`)."""
-    _, s, V, dec = _svd_decision(M, tol, floor)
+def _svd_kernel(B, mw, nw, tol, floor):
+    """Kernel basis of the window ``M = B[:mw, :nw]``, its rank from a full
+    SVD at the package rule, and whether that decision was a close call
+    (:func:`_near_threshold`)."""
+    _, s, V, dec = _svd_decision(B[:mw, :nw], tol, floor)
     return V[:, dec.rank :], dec.rank, _near_threshold(s, dec.tolerance_used)
 
 
-def _qr_kernel(M, tol, floor):
-    """Kernel basis of ``M``, certified to have full row rank, that rank,
-    and False: no rank is decided here, so there is no close call.
+def _qr_kernel(B, mw, nw, tol, floor):
+    """Kernel basis of the window ``M = B[:mw, :nw]``, certified to have
+    full row rank, that rank, and False: no rank is decided here, so there
+    is no close call.
 
     The trailing ``n - m`` columns of the unitary factor of a Householder QR
     of ``M^H`` (n x m) span the kernel of ``M``; they are formed by applying
     the QR's reflectors to ``[0; I]``.
     """
+    M = B[:mw, :nw]
     m, n = M.shape
     qr, tau, _, info = lapack.zgeqrf(M.conj().T)
     E = np.zeros((n, n - m), dtype=complex)
@@ -116,6 +123,22 @@ def _qr_kernel(M, tol, floor):
     if info or info2:
         raise StaircaseError(f"LAPACK QR failed (info {info}, {info2})")
     return K, m, False
+
+
+def _moved_row_kernel(B, mw, nw, tol, floor):
+    """Kernel basis of the window ``B[:mw, :nw]`` of a staircase whose
+    leading coefficient has orthonormal rows, that rank, and False.
+
+    Every window of such a staircase is then a row block of a unitary: the
+    certified rows keep full rank, so each step leaves ``nw`` equal to the
+    row count of the window before, and the kernel of the window is spanned
+    by the conjugates of the rows the last row compression moved out,
+    ``B[mw:nw, :nw]``, with no factorization.  The first step, whose window
+    is wider than ``B`` has rows, takes :func:`_qr_kernel`.
+    """
+    if nw > B.shape[0]:
+        return _qr_kernel(B, mw, nw, tol, floor)
+    return B[mw:nw, :nw].conj().T, mw, False
 
 
 def _trailing_reflectors(K):
@@ -184,12 +207,16 @@ def _staircase(P: Pencil, tol: float, check, kernel=_svd_kernel, floor=None):
     factor 10 of its threshold, :func:`_near_threshold`) raises
     :class:`StaircaseError` on a step the caller's problem rules out.
 
-    ``kernel(L1 window, tol, floor)`` returns a kernel basis of the window,
-    its rank and whether that was a close call: :func:`_svd_kernel` decides
-    the rank by the package rule;
-    :func:`_qr_kernel` takes full row rank as given, for windows certified
-    by :func:`separate_regular_right`.  The row decision on the kernel
-    columns is a thin SVD of that ``mw x nu`` block at the package rule.
+    ``kernel(B, mw, nw, tol, floor)`` returns a kernel basis of the window
+    ``B[:mw, :nw]`` of the current ``L1``, its rank and whether that was a
+    close call.  There are three strategies: :func:`_svd_kernel` decides
+    the rank by the package rule; :func:`_qr_kernel` takes full row rank as
+    given, for windows certified by :func:`separate_regular_right`; and
+    :func:`_moved_row_kernel`, for a certified ``L1`` with orthonormal rows,
+    reads the kernel off the rows the last step moved out and factors only
+    the first window (see :func:`_certified_kernel`).  The row decision on
+    the kernel columns is a thin SVD of that ``mw x nu`` block at the
+    package rule.
     Both transforms are applied as the Householder reflectors of a
     kernel-width (or range-width) basis (:func:`_trailing_reflectors`), so
     a step forms no ``nw x nw`` or ``mw x mw`` unitary and costs
@@ -211,7 +238,7 @@ def _staircase(P: Pencil, tol: float, check, kernel=_svd_kernel, floor=None):
             blocks.append((nw, 0))
             nw = 0
             break
-        K, rB, close_k = kernel(B[:mw, :nw], tol, floor)
+        K, rB, close_k = kernel(B, mw, nw, tol, floor)
         nu = nw - rB
         if nu == 0:
             break
@@ -238,13 +265,29 @@ _CERTIFICATE_PAD = 100.0
 
 
 def _certified_kernel(R: Pencil, margin: float, tol: float):
-    """:func:`_qr_kernel` where ``margin``, the smallest singular value of
-    the full-row-rank leading coefficient of ``R``, certifies every
-    staircase window (see :func:`separate_regular_right`), else
-    :func:`_svd_kernel`."""
+    """The kernel strategy of a staircase of ``R`` whose full-row-rank
+    leading coefficient ``L1r`` (m x n) has smallest singular value
+    ``margin`` (see :func:`separate_regular_right`).
+
+    :func:`_svd_kernel` unless ``margin`` certifies every window; then
+    :func:`_moved_row_kernel` where the rows of ``L1r`` are also certified
+    orthonormal, else :func:`_qr_kernel`.  The rows are orthonormal to
+    within ``delta`` when every singular value is within ``delta`` of 1.
+    The smallest is ``margin``, and the largest is at most
+    ``sqrt(|L1r|_F^2 - (m - 1) margin^2)``, so the certificate needs no
+    factorization beyond the rotation's.  ``delta`` is
+    ``_CERTIFICATE_PAD * max(m, n) * eps``, the rounding of one staircase
+    step.
+    """
     m, n = R.shape
-    pad = _CERTIFICATE_PAD * m * max(m, n) * _EPS * np.linalg.norm(R.L1)
-    return _qr_kernel if margin - pad > _staircase_floor(R, tol) else _svd_kernel
+    norm = np.linalg.norm(R.L1)
+    pad = _CERTIFICATE_PAD * m * max(m, n) * _EPS * norm
+    if not margin - pad > _staircase_floor(R, tol):
+        return _svd_kernel
+    top = max(norm**2 - (m - 1) * margin**2, 0.0) ** 0.5
+    if max(1.0 - margin, top - 1.0) <= _CERTIFICATE_PAD * max(m, n) * _EPS:
+        return _moved_row_kernel
+    return _qr_kernel
 
 
 def separate_regular_right(
@@ -253,9 +296,12 @@ def separate_regular_right(
     """Deflate the regular part of a pencil with full row normal rank.
 
     Returns a :class:`StaircaseForm`; the transformed pencil is expressed in
-    the original variable (the internal rotation is undone).  Raises
-    :class:`StaircaseError` when the row normal rank test fails and
-    propagates a rotation failure.
+    the original variable (the internal rotation is undone).  The rotation
+    is the normal-rank certificate: a rotated leading coefficient whose
+    ``sigma_m`` exceeds the staircase floor has full row rank, so the
+    pencil has full row normal rank.  When :func:`choose_rotation` finds no
+    such angle (or the pencil has more rows than columns), this raises
+    :class:`StaircaseError` ("normal rank deficient rows").
 
     The rotated leading coefficient ``L1r`` (m x n) has full row rank, and
     every staircase window must keep it.  That is decided once, not per
@@ -270,12 +316,13 @@ def separate_regular_right(
     relative term ``tol * max(mw, nw) * sigma_1`` cannot exceed it, since
     ``scale >= |L1r|_F``.  So ``margin - pad > floor`` certifies full row
     rank in every window, whose kernel then comes from a QR
-    (:func:`_qr_kernel`).  When the certificate fails, each window takes
-    the SVD rank decision, and a window that lost full row rank raises.
+    (:func:`_qr_kernel`).  Where the rows of ``L1r`` are also orthonormal,
+    as the identity rotation leaves ``[I 0]`` of a state-space test pencil,
+    every window stays a row block of a unitary and only the first window
+    is factored (:func:`_moved_row_kernel`).  When the certificate fails,
+    each window takes the SVD rank decision, and a window that lost full
+    row rank raises.
     """
-    if normal_rank(P, tol, seed) < P.rows:
-        raise StaircaseError("normal rank deficient rows")
-
     def full_row_rank(mw, rB, nu, s_rank, close):
         # The rotation gave the leading coefficient full row rank, and every
         # window must keep it.
@@ -285,7 +332,10 @@ def separate_regular_right(
                 f"lost full row rank ({rB} < {mw})"
             )
 
-    rot = choose_rotation(P, seed=seed, tol=tol)
+    try:
+        rot = choose_rotation(P, seed=seed, tol=tol)
+    except RotationError:
+        raise StaircaseError("normal rank deficient rows") from None
     R = mobius_rotate(P, rot)
     kernel = _certified_kernel(R, rot.margin, tol)
     U, W, T, blocks, mw, nw = _staircase(R, tol, full_row_rank, kernel)
@@ -410,8 +460,8 @@ def _regular_part(R: Pencil, r: int, margin: float, tol: float):
     left peels only the ``L_eta^T`` blocks (Van Dooren, LAA 27, 1979): what
     remains is exactly the regular part.  A side of full normal rank has no
     blocks to peel and skips its loop.  Where ``r`` is the full row (or
-    column) rank of ``R``, the rotation's ``margin`` certifies the QR kernels
-    of the loop on ``R`` (or its transpose), as in
+    column) rank of ``R``, the rotation's ``margin`` certifies the QR (or
+    moved-row) kernels of the loop on ``R`` (or its transpose), as in
     :func:`separate_regular_right`.  Every rank decision is floored at the
     scale of ``R``.  Returns ``(X, eps, eta, close)``, ``X`` the regular
     part (its transpose when the second loop ran) and ``close`` whether a

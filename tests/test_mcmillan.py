@@ -276,8 +276,9 @@ def _planted_d16():
 
 def test_structure_query_svd_count(monkeypatch):
     # Work guard: one structure query on a planted d = 16 system (4 of its
-    # states uncontrollable) makes 80 SVDs.  An SVD per eigenvalue, as a
-    # factorization at every point would take, pushes it over the ceiling.
+    # states uncontrollable) makes 76 SVDs.  An SVD per eigenvalue, as a
+    # factorization at every point would take, pushes it over the ceiling,
+    # and so does a normal-rank probe per test staircase (80).
     q = _planted_d16()
     calls = []
     svd = np.linalg.svd
@@ -289,7 +290,7 @@ def test_structure_query_svd_count(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted)
     s = rational_structure(q)
     assert s.mcmillan_degree == 12
-    assert len(calls) <= 80
+    assert len(calls) <= 76
 
 
 def test_structure_query_svd_shapes(monkeypatch):
@@ -322,6 +323,42 @@ def test_structure_query_factors_each_staircase_once(counted_test_forms):
     assert s.mcmillan_degree == 12
     assert len(staircases) == len(set(staircases)) == 4
     assert len(validated) == len(set(validated)) == 1
+
+
+def test_input_forms_released_after_deflating_pass(monkeypatch):
+    # rational_structure hands its input's two test forms to the reduction,
+    # which lets them go at the first pass that deflates: by the next test
+    # staircase (the observable side of the reduced quadruple) both are
+    # collected, though the caller is still in its call to _reduce.
+    import gc
+    import weakref
+
+    import strongmin.minreal as minreal
+
+    input_forms, alive_after_deflation = [], []
+    test_form, deflate = minreal._test_form, minreal._deflate
+    deflated = []
+
+    def recorded_test_form(*args):
+        if deflated and not alive_after_deflation:
+            gc.collect()
+            alive_after_deflation.append([ref() is not None for ref in input_forms])
+        sf = test_form(*args)
+        if len(input_forms) < 2:
+            input_forms.append(weakref.ref(sf))
+        return sf
+
+    def recorded_deflate(*args):
+        reduced, rec = deflate(*args)
+        deflated.append(rec.d_deflated)
+        return reduced, rec
+
+    monkeypatch.setattr(minreal, "_test_form", recorded_test_form)
+    monkeypatch.setattr(minreal, "_deflate", recorded_deflate)
+    s = rational_structure(_planted_d16())
+    assert s.mcmillan_degree == 12
+    assert deflated[0] == 4
+    assert alive_after_deflation == [[False, False]]
 
 
 @pytest.mark.parametrize("order, count", [("co", 3), ("oc", 4)])

@@ -225,8 +225,8 @@ class TestMobius:
 
 
 def reference_choose_rotation(P, seed=0, tol=DEFAULT_TOL):
-    """choose_rotation as it was before its angles were bounded: one SVD
-    per sampled angle."""
+    """choose_rotation without its angle bounds: one SVD per sampled angle.
+    The identity is judged on the lambda-balanced scale, as there."""
     m = P.rows
     if m == 0:
         return IDENTITY_ROTATION
@@ -237,7 +237,7 @@ def reference_choose_rotation(P, seed=0, tol=DEFAULT_TOL):
         raise RotationError("no admissible rotation found")
     floor = tol * max(P.shape) * jscale
     s1 = np.linalg.svd(P.L1, compute_uv=False)
-    if s1[m - 1] >= 0.05 * jscale:
+    if s1[m - 1] >= 0.05 * balanced_scale(P):
         return IDENTITY_ROTATION
     rng = np.random.default_rng(seed)
     best = None
@@ -256,6 +256,12 @@ def reference_choose_rotation(P, seed=0, tol=DEFAULT_TOL):
     if best is None or best_margin <= floor:
         raise RotationError("no admissible rotation found")
     return best
+
+
+def balanced_scale(P):
+    """Joint coefficient norm after the lambda balancing of
+    default_lambda_scale."""
+    return lambda_scale(P, default_lambda_scale(P)).coefficient_scale()
 
 
 def complex_normal(rng, rows, cols):
@@ -283,6 +289,16 @@ def weak_leading(m, n, seed=0):
     L1 = np.eye(m, n)
     L1[m - 1, m - 1] = 0.02
     return complex_normal(rng, m, n), L1
+
+
+def state_space_test_pencil(scale, d=48, n=2, seed=0):
+    """The controllability pencil [lambda*I - F, -G] of a state-space
+    quadruple whose F is ``scale`` times a Gaussian matrix."""
+    from strongmin.minreal import controllability_pencil
+
+    rng = np.random.default_rng(seed)
+    F, G, H = (rng.standard_normal(shape) for shape in ((d, d), (d, n), (1, d)))
+    return controllability_pencil(state_space_quadruple(scale * F, G, H))
 
 
 def nearly_dependent_rows(m, n, seed=0, gap=1e-8):
@@ -339,7 +355,7 @@ class TestBoundedRotationSampler:
         L0, L1 = weak_leading(m, n)
         P = Pencil(L0, L1)
         s1 = np.linalg.svd(P.L1, compute_uv=False)
-        assert 0 < s1[m - 1] < 0.05 * P.coefficient_scale()
+        assert 0 < s1[m - 1] < 0.05 * balanced_scale(P)
         for c, s in self._assert_same(L0, L1):
             assert s != 0.0
 
@@ -443,22 +459,37 @@ class TestChooseRotation:
             # target, so all sampled angles are tried; L1 is factored once.
             # Below _BOUND_MIN_ROWS no angle is bounded, so each takes an SVD.
             (Pencil(np.diag([1.0, 1e-3]), np.diag([1.0, 1e-3])), 1 + _ROTATION_TRIES),
-            # L1 = [I 0] has margin 1, which no rotated angle beats, and the
-            # margin bound rules every angle out without its SVD.
+            # L1 = [I 0] has margin 1, above 0.05 of the lambda-balanced
+            # scale, though not of the joint norm with a dense L0.
             (Pencil(*identity_wins(40, 42)), 1),
+        ]
+        + [
+            # [lambda*I - 2^k F, -G] keeps the identity at every scale of F:
+            # the balanced scale does not grow with it.
+            (state_space_test_pencil(2.0**k), 1)
+            for k in range(7)
         ],
     )
     def test_svds_per_call(self, monkeypatch, P, svds):
-        calls = []
-        svd = np.linalg.svd
+        # No case builds a margin bound, so one SVD is the identity's early
+        # return.
+        calls, bounds = [], []
+        svd, bound = np.linalg.svd, pencil_module._MarginBound
 
         def counted(*args, **kwargs):
             calls.append(1)
             return svd(*args, **kwargs)
 
+        def counted_bound(*args):
+            bounds.append(1)
+            return bound(*args)
+
         monkeypatch.setattr(np.linalg, "svd", counted)
-        choose_rotation(P, seed=0)
+        monkeypatch.setattr(pencil_module, "_MarginBound", counted_bound)
+        rot = choose_rotation(P, seed=0)
         assert len(calls) == svds
+        assert bounds == []
+        assert ((rot.c, rot.s) == (1.0, 0.0)) == (svds == 1)
 
 
 class TestLambdaScale:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "report_diff.py"
@@ -158,3 +159,13 @@ def test_dump_gallery(tmp_path):
     assert runs["gallery/polynomial_e5_e1|structure-no-reduce|s0"]["exit"] == 1
     assert runs["gallery/polynomial_e5_e1|structure|s0"]["exit"] == 0
     assert report_diff.compare_dumps({"reports": runs}, {"reports": runs}, 0.0)[0] == []
+
+
+def test_descriptor_inputs():
+    # The descriptor set puts quadruples with E != I before the gate: the
+    # leading coefficient of A is not the identity, and seeds 0-29 are all
+    # there.
+    inputs = report_diff.descriptor_inputs()
+    assert list(inputs) == [f"descriptor/{s}" for s in range(30)]
+    for q in inputs.values():
+        assert np.linalg.norm(q.A.L1 - np.eye(q.d)) > 0.05

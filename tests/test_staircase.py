@@ -136,6 +136,13 @@ class TestSeparateRegularRight:
         with pytest.raises(StaircaseError, match="normal rank"):
             separate_regular_right(P)
 
+    def test_more_rows_than_columns_rejected(self):
+        # Three rows of two columns have row normal rank at most 2 < 3.
+        rng = np.random.default_rng(3)
+        P = Pencil(rng.standard_normal((3, 2)), rng.standard_normal((3, 2)))
+        with pytest.raises(StaircaseError, match="normal rank"):
+            separate_regular_right(P)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_eigenvalue_conservation_random_mixture(self, seed):
         # L_1 + L_2 + finite Jordan + infinite block, under random unitary
@@ -192,6 +199,17 @@ def reference_separate_regular_right(P, tol=DEFAULT_TOL, seed=0):
     return StaircaseForm(U_acc, Wh_acc.conj().T, T, mw, blocks)
 
 
+def perturbed_identity_leading(d, k, seed, n=2):
+    """[lambda*E - F, -G] with E = I + noise and the first k states
+    uncontrollable (F, E block lower triangular, G[:k] = 0)."""
+    rng = np.random.default_rng(seed)
+    E = np.eye(d) + 0.3 * rng.standard_normal((d, d)) / np.sqrt(d)
+    F = rng.standard_normal((d, d))
+    G = rng.standard_normal((d, n))
+    E[:k, k:] = F[:k, k:] = G[:k] = 0.0
+    return Pencil(np.hstack([F, -G]), np.hstack([E, np.zeros((d, n))]))
+
+
 def regular_mixture(m, r, seed, n_inf=0):
     """m x (m + 2) pencil: a regular part of size r (a Jordan block J_2(0.7),
     ``n_inf`` infinite eigenvalues, random simple eigenvalues) and two L
@@ -217,6 +235,24 @@ def planted_controllability(seed, d, n=2):
     G = rng.standard_normal((d, n))
     G[:k] = 0.0
     return Pencil(np.hstack([F, -G]), np.hstack([np.eye(d), np.zeros((d, n))]))
+
+
+def state_space_mixture(d, r, seed, n=2):
+    """[lambda*I - F, -G] of a system whose uncontrollable part (size r: a
+    Jordan block J_2(0.7) and random simple eigenvalues) is hidden by a
+    random unitary change of state basis, which keeps E = I up to rounding:
+    F, G <- Q F Q^H, Q G."""
+    rng = np.random.default_rng(seed)
+    F = rng.standard_normal((d, d)) + 0j
+    F[:r, r:] = 0.0
+    F[:r, :r] = np.diag(np.r_[0.7, 0.7, rng.standard_normal(r - 2)]) + np.diag(
+        np.r_[1.0, np.zeros(r - 2)], 1
+    )
+    G = rng.standard_normal((d, n)) + 0j
+    G[:r] = 0.0
+    Q = random_unitary(rng, d)
+    E = Q @ Q.conj().T
+    return Pencil(np.hstack([Q @ F @ Q.conj().T, -Q @ G]), np.hstack([E, np.zeros((d, n))]))
 
 
 def assert_same_regular_eigenvalues(got, ref, jordan=None):
@@ -284,6 +320,50 @@ class TestCertifiedStaircase:
         sf = separate_regular_right(P)
         assert sf.d_reg == 8
         assert_equivalent_forms(P, sf, reference_separate_regular_right(P))
+
+    @pytest.mark.parametrize(
+        "kind, args, d_reg",
+        [
+            ("planted", (100, 32), 8),
+            ("mixture", (8, 2, 0), 2),
+            ("mixture", (16, 5, 1), 5),
+            ("mixture", (32, 8, 2), 8),
+            ("mixture", (48, 12, 3), 12),
+            ("perturbed_E", (32, 8, 5), 8),
+        ],
+    )
+    def test_kernel_strategy_matches_reference(self, monkeypatch, kind, args, d_reg):
+        # E = I (exactly, or up to rounding in the mixtures): the rows of
+        # [E 0] are certified orthonormal, only the first window takes a QR
+        # and the moved-row kernels give the reference structure.  E = I +
+        # noise: [E 0] has full row rank but no orthonormal rows, so every
+        # window takes a QR.
+        import strongmin.staircase as staircase
+
+        qr_calls = []
+        qr_kernel = staircase._qr_kernel
+
+        def counted(*kernel_args):
+            qr_calls.append(1)
+            return qr_kernel(*kernel_args)
+
+        monkeypatch.setattr(staircase, "_qr_kernel", counted)
+        make = {
+            "planted": planted_controllability,
+            "mixture": state_space_mixture,
+            "perturbed_E": perturbed_identity_leading,
+        }[kind]
+        P = make(*args)
+        sf = separate_regular_right(P)
+        ref = reference_separate_regular_right(P)
+        assert sf.d_reg == d_reg
+        assert_equivalent_forms(P, sf, ref, jordan=0.7 if kind == "mixture" else None)
+        assert len(sf.block_sizes) > 2
+        if kind == "perturbed_E":
+            # One QR per step, and one for the last window (no kernel).
+            assert len(qr_calls) == len(sf.block_sizes) + 1
+        else:
+            assert len(qr_calls) == 1
 
     def test_svds_no_wider_than_kernel(self, monkeypatch):
         # Past choose_rotation, the only SVDs are the row decisions on the

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Structural-equivalence gate for CLI reports across two source trees.
 
-    python3 tools/report_diff.py dump --src TREE OUT.json [--inputs gallery,corpus,planted]
+    python3 tools/report_diff.py dump --src TREE OUT.json [--inputs gallery,corpus,planted,descriptor]
     python3 tools/report_diff.py compare A.json B.json [--rel 1e-8]
 
 ``dump`` runs ``strongmin structure`` (with and without ``--no-reduce``)
@@ -9,10 +9,12 @@ and ``strongmin reduce`` from the source tree ``TREE`` (its ``src``
 directory goes first on the import path) on a fixed set of inputs, each
 under pipeline seeds 0-2, and writes every run's exit code, standard
 output and standard error to ``OUT.json``.  The inputs are the gallery
-examples below, corpus seeds 0-123 (``tests/corpus.exact_instance``) and
+examples below, corpus seeds 0-123 (``tests/corpus.exact_instance``),
 planted systems (``bench/workloads.planted_system``) at d = 16, 32, 64 and
-96, instances 100 and 101, unrotated.  The input generators come from this
-checkout; only the code under test comes from ``TREE``.
+96, instances 100 and 101, unrotated, and descriptor systems with
+``E != I`` (``tests/descriptor.descriptor_system``), seeds 0-29.  The
+input generators come from this checkout; only the code under test comes
+from ``TREE``.
 
 ``compare`` holds two dumps to the same structure.  For every run both
 dumps hold, the exit codes, standard error and every integer, boolean and
@@ -42,12 +44,13 @@ ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (0, 1, 2)
 CORPUS_SEEDS = tuple(range(124))
 PLANTED = tuple((d, inst) for d in (16, 32, 64, 96) for inst in (100, 101))
+DESCRIPTOR_SEEDS = tuple(range(30))
 COMMANDS = {
     "structure": ["structure"],
     "structure-no-reduce": ["structure", "--no-reduce"],
     "reduce": ["reduce"],
 }
-INPUT_SETS = ("gallery", "corpus", "planted")
+INPUT_SETS = ("gallery", "corpus", "planted", "descriptor")
 
 
 # --------------------------------------------------------------------- dump
@@ -95,6 +98,12 @@ def planted_inputs():
     }
 
 
+def descriptor_inputs():
+    from descriptor import descriptor_system
+
+    return {f"descriptor/{s}": descriptor_system(s)[0] for s in DESCRIPTOR_SEEDS}
+
+
 def _run_cli(main, argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -110,7 +119,12 @@ def dump(src, out_path, input_sets) -> int:
     from strongmin.cli import main
     from strongmin.fileio import write_quadruple
 
-    builders = {"gallery": gallery_inputs, "corpus": corpus_inputs, "planted": planted_inputs}
+    builders = {
+        "gallery": gallery_inputs,
+        "corpus": corpus_inputs,
+        "planted": planted_inputs,
+        "descriptor": descriptor_inputs,
+    }
     reports = {}
     with tempfile.TemporaryDirectory(prefix="report_diff_") as workdir:
         for name in input_sets:
