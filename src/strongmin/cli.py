@@ -40,7 +40,7 @@ from .fileio import (
 )
 from .linalg import DEFAULT_TOL, matrix_rank
 from .mcmillan import degree_sum_check, rational_structure
-from .minreal import _reduce, is_strongly_irreducible, strongly_minimal_reduce
+from .minreal import is_strongly_irreducible, strongly_minimal_reduce
 from .mcmillan import NotStronglyMinimal
 from .minreal import ReductionError
 from .pencil import (
@@ -48,7 +48,6 @@ from .pencil import (
     SingularPencilError,
     system_pencil,
     transfer_eval,
-    validate_regular,
 )
 from .staircase import StaircaseError
 
@@ -342,33 +341,32 @@ def cmd_verify(args) -> int:
     tol, seed = args.tol, args.seed
     checks = []
 
-    def check(name, fn):
+    def check(name, fn, fatal=()):
         try:
             ok, detail = fn()
+        except fatal:
+            raise
         except Exception as exc:  # pragma: no cover - defensive reporting
             ok, detail = False, f"{type(exc).__name__}: {exc}"
         checks.append(ok)
         print(f"{'PASS' if ok else 'FAIL'}  {name}" + (f"  ({detail})" if detail else ""))
         return ok
 
-    try:
-        validate_regular(q, tol, seed)
-    except SingularPencilError:
-        print("error: A not regular", file=sys.stderr)
-        return EXIT_ERROR
-
     state = {}
 
     def do_reduce():
-        # strongly_minimal_reduce of the input validated above, without
-        # validating it again.  The reduction returns only once its own
-        # strong-minimality check passes, and raises ReductionError
-        # otherwise.
-        q_min, Wl, Wr, _ = _reduce(q, {}, tol, seed)
+        # The reduction validates its input, and returns only once its own
+        # strong-minimality check passes (ReductionError otherwise).
+        q_min, Wl, Wr, _ = strongly_minimal_reduce(q, tol, seed)
         state.update(q_min=q_min, Wl=Wl, Wr=Wr)
         return True, f"d {q.d} -> {q_min.d}"
 
-    check("reduction reaches a strongly minimal quadruple", do_reduce)
+    try:
+        check("reduction reaches a strongly minimal quadruple", do_reduce,
+              fatal=SingularPencilError)
+    except SingularPencilError:
+        print("error: A not regular", file=sys.stderr)
+        return EXIT_ERROR
 
     def do_transfer():
         q_min, Wl, Wr = state["q_min"], state["Wl"], state["Wr"]

@@ -462,23 +462,23 @@ class TestVerifyCommand:
         )
 
     def test_input_validated_once(self, tmp_path, capsys, monkeypatch):
-        # verify checks the regularity of its input once, then reduces it
-        # without a second check; the irreducibility check validates the
-        # reduced quadruple, its own input.
-        import strongmin.cli as cli
+        # verify checks the regularity of its input once, in the
+        # reduction; the irreducibility check validates the reduced
+        # quadruple, its own input.
         import strongmin.mcmillan as mcmillan
         import strongmin.minreal as minreal
+        import strongmin.pencil as pencil
         from corpus import exact_instance
 
         path = write_system(tmp_path, exact_instance(10)[0].to_numeric())
         validated = []
-        validate = cli.validate_regular
+        validate = pencil.validate_regular
 
         def counted(q, tol, seed):
             validated.append(q.d)
             return validate(q, tol, seed)
 
-        for module in (cli, minreal, mcmillan):
+        for module in (pencil, minreal, mcmillan):
             monkeypatch.setattr(module, "validate_regular", counted)
         assert main(["verify", path]) == 0
         assert "FAIL" not in capsys.readouterr().out

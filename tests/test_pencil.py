@@ -274,6 +274,14 @@ def identity_wins(m, n, seed=0):
     return complex_normal(rng, m, n), np.eye(m, n)
 
 
+def graded_identity(m, n, seed=0, big=100.0):
+    """Dense L0 and L1 = [diag(big, 1, ..., 1) 0]: the identity's margin 1
+    is below 0.05 of the balanced scale, yet no sampled angle beats it."""
+    L0, L1 = identity_wins(m, n, seed)
+    L1[0, 0] = big
+    return L0, L1
+
+
 def rank_deficient_leading(m, n, seed=0):
     """L1 of rank m - 2: the identity is inadmissible, a rotation wins."""
     rng = np.random.default_rng(seed)
@@ -343,6 +351,12 @@ class TestBoundedRotationSampler:
     @pytest.mark.parametrize("m, n", SIZES)
     def test_identity_wins(self, m, n):
         results = self._assert_same(*identity_wins(m, n))
+        assert results == [(1.0, 0.0)] * len(results)
+
+    def test_identity_wins_a_pruned_search(self):
+        # The identity is not returned early, and every sampled angle is
+        # skipped on its bound.
+        results = self._assert_same(*graded_identity(40, 42))
         assert results == [(1.0, 0.0)] * len(results)
 
     @pytest.mark.parametrize("m, n", SIZES)
@@ -450,6 +464,25 @@ class TestChooseRotation:
         assert rot.margin == pytest.approx(sigma, rel=1e-12)
         assert choose_rotation(Pencil(np.zeros((0, 2)), np.zeros((0, 2)))).margin == math.inf
 
+    @staticmethod
+    def _counted_choice(monkeypatch, P):
+        """choose_rotation(P, seed=0), its SVD count and the number of
+        margin bounds it built."""
+        calls, built = [], []
+        svd, bound = np.linalg.svd, pencil_module._MarginBound
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        def counted_bound(*args):
+            built.append(1)
+            return bound(*args)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        monkeypatch.setattr(pencil_module, "_MarginBound", counted_bound)
+        return choose_rotation(P, seed=0), len(calls), len(built)
+
     @pytest.mark.parametrize(
         "P, svds",
         [
@@ -473,23 +506,19 @@ class TestChooseRotation:
     def test_svds_per_call(self, monkeypatch, P, svds):
         # No case builds a margin bound, so one SVD is the identity's early
         # return.
-        calls, bounds = [], []
-        svd, bound = np.linalg.svd, pencil_module._MarginBound
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return svd(*args, **kwargs)
-
-        def counted_bound(*args):
-            bounds.append(1)
-            return bound(*args)
-
-        monkeypatch.setattr(np.linalg, "svd", counted)
-        monkeypatch.setattr(pencil_module, "_MarginBound", counted_bound)
-        rot = choose_rotation(P, seed=0)
-        assert len(calls) == svds
-        assert bounds == []
+        rot, calls, bounds = self._counted_choice(monkeypatch, P)
+        assert calls == svds
+        assert bounds == 0
         assert ((rot.c, rot.s) == (1.0, 0.0)) == (svds == 1)
+
+    def test_pruned_search_takes_one_svd(self, monkeypatch):
+        # The identity's margin 1 is too small to return early, so all
+        # sampled angles are tried; each is bounded below 1 and skipped, so
+        # the SVD of L1 is the only one.
+        rot, calls, bounds = self._counted_choice(monkeypatch, Pencil(*graded_identity(40, 42)))
+        assert (rot.c, rot.s) == (1.0, 0.0)
+        assert calls == 1
+        assert bounds == 1
 
 
 class TestLambdaScale:
