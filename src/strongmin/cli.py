@@ -21,6 +21,7 @@ overrides the default rank tolerance.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -32,11 +33,11 @@ from . import __version__
 from .fileio import (
     QuadrupleFormatError,
     dumps_deterministic,
-    file_digest,
     matrix_to_pairs,
     parse_quadruple,
     pencil_to_dict,
     quadruple_to_dict,
+    read_quadruple,
 )
 from .linalg import DEFAULT_TOL, matrix_rank
 from .mcmillan import degree_sum_check, rational_structure
@@ -113,10 +114,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _read_quadruple(path):
-    """The quadruple in ``path``, or None after printing an ``error:`` line."""
+def _read_quadruple(path, read=parse_quadruple):
+    """``read(path)``, by default the quadruple in ``path``, or None after
+    printing an ``error:`` line."""
     try:
-        return parse_quadruple(path)
+        return read(path)
     except (OSError, QuadrupleFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
@@ -212,9 +214,10 @@ def _report_text(doc: dict, args, elapsed: float) -> str:
 
 def cmd_structure(args) -> int:
     t0 = time.perf_counter()
-    q = _read_quadruple(args.input)
-    if q is None:
+    read = _read_quadruple(args.input, read_quadruple)
+    if read is None:
         return EXIT_ERROR
+    q, digest = read
     tol, seed = args.tol, args.seed
     try:
         structure = rational_structure(
@@ -241,7 +244,7 @@ def cmd_structure(args) -> int:
     ok = degree_sum_check(structure)
     doc = {
         "version": __version__,
-        "input_digest": file_digest(args.input),
+        "input_digest": digest,
         "tol": tol,
         "seed": seed,
         "minimality": _minimality_to_dict(structure.minimality),
@@ -424,9 +427,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("input", help="quadruple JSON file")
-        p.add_argument("--tol", type=_tolerance, default=_default_tol(),
+        # The default is resolved in main, on each call: STRONGMIN_TOL is
+        # read then, not when the parser is built.
+        p.add_argument("--tol", type=_tolerance, default=None,
                        help="relative rank tolerance, machine epsilon "
-                            "(2.22e-16) <= tol < 1")
+                            "(2.22e-16) <= tol < 1; default STRONGMIN_TOL "
+                            "or 1e-12")
         p.add_argument("--seed", type=_nonnegative_int, default=0,
                        help="seed for rotations and sample points")
 
@@ -467,9 +473,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process: building it costs about a millisecond, a
+# quarter of a small structure query.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    if args.tol is None:
+        args.tol = _default_tol()
     return args.func(args)
 
 

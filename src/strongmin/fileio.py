@@ -2,6 +2,9 @@
 
 Quadruple files carry a ``schema`` version, the three dimensions, and the
 eight coefficient matrices as flat row-major arrays of ``[re, im]`` pairs.
+A block whose imaginary parts are all ``+0.0`` is read as real (float64),
+any other as complex (complex128): this is where the field of the data is
+decided, once.
 Serialization is deterministic: keys are sorted and floats use shortest
 round-trip formatting, so identical data produces byte-identical files.
 """
@@ -71,7 +74,11 @@ def _unflatten(data, rows, cols, name):
                 raise QuadrupleFormatError(f"{name}[{k}]: {error}")
         pairs = np.array(data, dtype=float)
     # Each row holds the real and imaginary parts of one complex entry.
+    # Imaginary parts that are all +0.0 (every bit clear) make a real block;
+    # a -0.0 keeps it complex, so that the file's bits are kept.
     pairs = pairs.astype(float, copy=False).reshape(-1, 2)
+    if not pairs[:, 1].view(np.uint64).any():
+        return pairs[:, 0].reshape(rows, cols)
     return pairs.view(complex).reshape(rows, cols)
 
 
@@ -139,16 +146,23 @@ def parse_quadruple(path) -> SystemQuadruple:
     are rejected at the JSON level; shape and finiteness violations name
     the offending block.
     """
+    return read_quadruple(path)[0]
+
+
+def read_quadruple(path):
+    """:func:`parse_quadruple` and :func:`file_digest` of ``path`` from
+    one read of the file: ``(quadruple, sha256 hex digest)``."""
 
     def _reject(token):
         raise QuadrupleFormatError(f"non-finite literal {token!r} in file")
 
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.loads(fh.read(), parse_constant=_reject)
+        doc = json.loads(data.decode("utf-8"), parse_constant=_reject)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise QuadrupleFormatError(f"invalid JSON: {exc}") from exc
-    return quadruple_from_dict(doc)
+    return quadruple_from_dict(doc), hashlib.sha256(data).hexdigest()
 
 
 def file_digest(path) -> str:

@@ -1,4 +1,11 @@
-"""Dense complex-matrix primitives with explicit rank tolerances.
+"""Dense real and complex matrix primitives with explicit rank tolerances.
+
+Every matrix keeps the field of its data: float64 when its entries are
+real (boolean, integer or float), complex128 otherwise, decided from the
+dtype alone (:func:`_field`), never by scanning values.  LAPACK routines
+are picked by that dtype (:func:`_lapack`), so real data are factored by
+the real, orthogonal routines and complex data by the complex, unitary
+ones.
 
 Every rank decision made by this package flows through the helpers in this
 module, and all of them apply the one rule in ``_rank_rule``: a singular
@@ -15,17 +22,53 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import lapack
 
 DEFAULT_TOL = 1e-12
 
+_REAL, _COMPLEX = np.dtype(np.float64), np.dtype(np.complex128)
 
-def as_complex_matrix(M, copy: bool = True) -> np.ndarray:
-    """Coerce ``M`` to a 2-D complex ndarray, rejecting non-finite entries.
+# The field of each dtype kind: boolean, integer and float data are real;
+# complex data, and anything else numpy can hold, are complex.
+_FIELDS = {"b": _REAL, "i": _REAL, "u": _REAL, "f": _REAL, "c": _COMPLEX}
 
-    With ``copy=False`` a complex ndarray input is returned as is, for
-    callers that only read it.
+
+def _field(*arrays) -> np.dtype:
+    """float64 when every argument is real, else complex128, from
+    ``np.result_type`` of the arguments: no entry is read."""
+    return _FIELDS.get(np.result_type(*arrays).kind, _COMPLEX)
+
+
+# LAPACK routines by the dtype char of their operands, under their real
+# names.  ``adjoint`` is the ``trans`` letter of ``ormqr`` that applies the
+# transposed (real) or conjugate transposed (complex) factor.
+_LAPACK = {
+    "d": {
+        "geqrf": lapack.dgeqrf, "ormqr": lapack.dormqr, "adjoint": "T",
+        "potrf": lapack.dpotrf, "potrs": lapack.dpotrs, "gges": lapack.dgges,
+    },
+    "D": {
+        "geqrf": lapack.zgeqrf, "ormqr": lapack.zunmqr, "adjoint": "C",
+        "potrf": lapack.zpotrf, "potrs": lapack.zpotrs, "gges": lapack.zgges,
+    },
+}
+
+
+def _lapack(name: str, A: np.ndarray):
+    """The LAPACK routine ``name`` (its real spelling) for the field of the
+    float64 or complex128 array ``A``."""
+    return _LAPACK[A.dtype.char][name]
+
+
+def as_matrix(M, copy: bool = True, dtype=None) -> np.ndarray:
+    """Coerce ``M`` to a 2-D ndarray of its field (:func:`_field`), or of
+    ``dtype`` when given, rejecting non-finite entries.
+
+    With ``copy=False`` an input already of that dtype is returned as is,
+    for callers that only read it.
     """
-    A = np.array(M, dtype=complex) if copy else np.asarray(M, dtype=complex)
+    A = np.asarray(M)
+    A = A.astype(dtype or _field(A), copy=copy)
     if A.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={A.ndim}")
     if A.size and not np.all(np.isfinite(A)):
@@ -62,7 +105,7 @@ def _near_threshold(s: np.ndarray, thr: float) -> bool:
 
 def _svd_decision(M, tol: float, floor: float):
     """Full SVD of a nonempty matrix with its rank decision."""
-    A = as_complex_matrix(M, copy=False)
+    A = as_matrix(M, copy=False)
     if A.size == 0:
         raise ValueError("empty matrix")
     U, s, Vh = np.linalg.svd(A)
@@ -71,7 +114,7 @@ def _svd_decision(M, tol: float, floor: float):
 
 
 def rank_revealing(M, tol: float = DEFAULT_TOL):
-    """Rank-revealing SVD of a nonempty complex matrix.
+    """Rank-revealing SVD of a nonempty matrix.
 
     Returns ``(left_unitary, singular_values, right_unitary, decision)``
     with ``M = left_unitary @ diag(s) @ right_unitary.conj().T`` and the
@@ -86,7 +129,7 @@ def matrix_rank(M, tol: float = DEFAULT_TOL, floor: float = 0.0) -> int:
     ``floor`` is an absolute lower bound on the threshold for sub-blocks of
     a larger problem whose scale must prevail.
     """
-    A = as_complex_matrix(M, copy=False)
+    A = as_matrix(M, copy=False)
     if A.size == 0:
         return 0
     s = np.linalg.svd(A, compute_uv=False)
@@ -123,8 +166,8 @@ def eig_pair(L0, L1, tol: float = DEFAULT_TOL) -> np.ndarray:
     """
     import scipy.linalg
 
-    A0 = as_complex_matrix(L0)
-    A1 = as_complex_matrix(L1)
+    A0 = as_matrix(L0)
+    A1 = as_matrix(L1)
     n = A0.shape[0]
     if n == 0:
         return np.zeros(0, dtype=complex)

@@ -105,11 +105,11 @@ def infinite_pole_pencil(q: SystemQuadruple) -> Pencil:
     """
     d, m, n = q.d, q.m, q.n
     N = d + m + n
-    L0 = np.zeros((N, N), dtype=complex)
+    L0 = np.zeros((N, N), dtype=q.dtype)
     L0[:d, :d] = q.A.L0
     L0[d : d + m, d + n :] = np.eye(m)
     L0[d + m :, d : d + n] = -np.eye(n)
-    L1 = np.zeros((N, N), dtype=complex)
+    L1 = np.zeros((N, N), dtype=q.dtype)
     L1[: d + m, : d + n] = system_pencil(q).L1
     return Pencil(L0, L1)
 

@@ -30,6 +30,7 @@ from .pencil import (
 from .staircase import (
     StaircaseError,
     StaircaseForm,
+    _cluster_means,
     infinity_mcmillan_indices,
     kronecker_structure,
     separate_regular_right,
@@ -80,10 +81,11 @@ def _classified_eigenvalues(X: Pencil, tol: float, seed: int) -> np.ndarray:
     Plain QZ splits a defective block at infinity into a cloud of huge
     finite values that can also swallow nearby genuine eigenvalues, so the
     structure at infinity is deflated first (unitarily) and QZ runs on the
-    finite block alone.  When the deflation fails, plain QZ on the whole
-    pencil is used instead, with a ``RuntimeWarning``.
+    finite block alone, whose clusters are reported by their means
+    (:func:`~strongmin.staircase._cluster_means`).  When the deflation
+    fails, plain QZ on the whole pencil is used instead, with a
+    ``RuntimeWarning``.
     """
-    from .linalg import eig_pair
     from .staircase import split_infinite
 
     if X.rows == 0:
@@ -101,7 +103,7 @@ def _classified_eigenvalues(X: Pencil, tol: float, seed: int) -> np.ndarray:
         finite = generalized_eigenvalues(X, tol, seed)
     else:
         k = X.rows - n_inf
-        finite = eig_pair(transformed.L0[:k, :k], transformed.L1[:k, :k], tol)
+        finite = _cluster_means(Pencil(transformed.L0[:k, :k], transformed.L1[:k, :k]), tol)
     vals = list(finite) + [complex(np.inf, 0.0)] * n_inf
     return np.asarray(vals, dtype=complex)
 
@@ -213,7 +215,7 @@ def _deflate(q: SystemQuadruple, side: str, sf: StaircaseForm, tol: float, seed:
     r = sf.d_reg
     if r == 0:
         none = np.zeros(0, dtype=complex)
-        return q, ReductionRecord(np.eye(n, dtype=complex), 0, "controllable", none)
+        return q, ReductionRecord(np.eye(n, dtype=sf.W.dtype), 0, "controllable", none)
 
     # Rows 0:r of the staircase column transformation, split over the
     # A-columns and the B-columns.
@@ -238,7 +240,7 @@ def _deflate(q: SystemQuadruple, side: str, sf: StaircaseForm, tol: float, seed:
 
     dc = d - r
     size = d + n
-    W_tilde = np.zeros((size, size), dtype=complex)
+    W_tilde = np.zeros((size, size), dtype=Wsmall.dtype)
     W_tilde[:r, :r] = Wsmall[:r, :r]
     W_tilde[:r, r + dc :] = Wsmall[:r, r:]
     W_tilde[r : r + dc, r : r + dc] = np.eye(dc)
@@ -247,9 +249,9 @@ def _deflate(q: SystemQuadruple, side: str, sf: StaircaseForm, tol: float, seed:
     W33 = Wsmall[r:, r:]
 
     S = system_pencil(q)
-    UL = np.eye(d + m, dtype=complex)
+    UL = np.eye(d + m, dtype=sf.U.dtype)
     UL[:d, :d] = sf.U
-    VR = np.eye(d + n, dtype=complex)
+    VR = np.eye(d + n, dtype=V.dtype)
     VR[:d, :d] = V
     T0 = UL @ S.L0 @ VR @ W_tilde
     T1 = UL @ S.L1 @ VR @ W_tilde
@@ -320,8 +322,8 @@ def _reduce(q: SystemQuadruple, forms: dict, tol: float, seed: int, order: str =
     diagonal block of a block-triangular unitary equivalent of the
     validated A (the leak check of :func:`_deflate` enforces the zero
     block)."""
-    Wl = np.eye(q.m, dtype=complex)
-    Wr = np.eye(q.n, dtype=complex)
+    Wl = np.eye(q.m, dtype=q.dtype)
+    Wr = np.eye(q.n, dtype=q.dtype)
     records = []
     for _ in range(_MAX_PASSES):
         for step in order:

@@ -15,9 +15,16 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack
 
-from .linalg import DEFAULT_TOL, _rank_rule, as_complex_matrix, eig_pair, matrix_rank
+from .linalg import (
+    DEFAULT_TOL,
+    _field,
+    _lapack,
+    _rank_rule,
+    as_matrix,
+    eig_pair,
+    matrix_rank,
+)
 
 
 class RotationError(RuntimeError):
@@ -30,14 +37,20 @@ class SingularPencilError(RuntimeError):
 
 @dataclass
 class Pencil:
-    """Degree-1 matrix polynomial ``P(lambda) = lambda*L1 - L0``."""
+    """Degree-1 matrix polynomial ``P(lambda) = lambda*L1 - L0``.
+
+    Both coefficients are stored in one field: float64 when both are real,
+    complex128 otherwise (:func:`~strongmin.linalg._field`).
+    """
 
     L0: np.ndarray
     L1: np.ndarray
 
     def __post_init__(self):
-        self.L0 = as_complex_matrix(self.L0)
-        self.L1 = as_complex_matrix(self.L1)
+        L0, L1 = np.asarray(self.L0), np.asarray(self.L1)
+        dtype = _field(L0, L1)
+        self.L0 = as_matrix(L0, dtype=dtype)
+        self.L1 = as_matrix(L1, dtype=dtype)
         if self.L0.shape != self.L1.shape:
             raise ValueError(
                 f"coefficient shapes differ: {self.L0.shape} vs {self.L1.shape}"
@@ -70,13 +83,14 @@ class Pencil:
 
 
 def constant_pencil(M) -> Pencil:
-    """Pencil that is identically equal to the constant matrix ``M``."""
-    M = as_complex_matrix(M)
+    """Pencil that is identically equal to the constant matrix ``M``, in
+    the field of ``M``."""
+    M = as_matrix(M)
     return Pencil(-M, np.zeros_like(M))
 
 
 def zero_pencil(rows: int, cols: int) -> Pencil:
-    z = np.zeros((rows, cols), dtype=complex)
+    z = np.zeros((rows, cols))
     return Pencil(z, z.copy())
 
 
@@ -158,9 +172,12 @@ class _MarginBound:
         L0, L1 = P.L0, P.L1
         X = L0 @ L1.conj().T
         self.K00, self.H, self.K11 = L0 @ L0.conj().T, X + X.conj().T, L1 @ L1.conj().T
-        # A fixed start of its own keeps the angle stream untouched.
+        self.potrf, self.potrs = _lapack("potrf", L0), _lapack("potrs", L0)
+        # A fixed start of its own keeps the angle stream untouched; real
+        # data take its real part.
         rng = np.random.default_rng(0)
-        self.start = rng.standard_normal(P.rows) + 1j * rng.standard_normal(P.rows)
+        start = rng.standard_normal(P.rows) + 1j * rng.standard_normal(P.rows)
+        self.start = start if np.iscomplexobj(L0) else start.real
 
     def __call__(self, M: np.ndarray, c: float, s: float, target: float) -> float:
         """Upper bound on ``sigma_m(M)``, ``M = -s*L0 + c*L1``.
@@ -171,14 +188,14 @@ class _MarginBound:
         when the Cholesky factorization fails or ``y`` is not finite.
         """
         G = (s * s) * self.K00 - (s * c) * self.H + (c * c) * self.K11
-        R, info = lapack.zpotrf(G, lower=0, clean=0, overwrite_a=1)
+        R, info = self.potrf(G, lower=0, clean=0, overwrite_a=1)
         if info != 0:
             return math.inf
         pad = 100 * max(M.shape) * np.finfo(float).eps * np.linalg.norm(M)
         Mh = M.conj().T
         y, bound = self.start, math.inf
         for _ in range(_BOUND_SOLVES):
-            y, info = lapack.zpotrs(R, y, lower=0)
+            y, info = self.potrs(R, y, lower=0)
             norm_y = np.linalg.norm(y)
             if info != 0 or not 0 < norm_y < math.inf:
                 return math.inf
@@ -337,6 +354,12 @@ class SystemQuadruple:
     def n(self) -> int:
         return self.B.cols
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The field of the four pencils together: float64 when all are
+        real, else complex128."""
+        return _field(self.A.L0, self.B.L0, self.C.L0, self.D.L0)
+
     def transpose(self) -> "SystemQuadruple":
         """Dual quadruple {A^T, C^T, B^T, D^T} (inputs and outputs swap)."""
         return SystemQuadruple(
@@ -358,14 +381,15 @@ def quadruple_from_constants(A0, A1, B0, B1, C0, C1, D0, D1) -> SystemQuadruple:
 
 
 def state_space_quadruple(F, G, H, D=None) -> SystemQuadruple:
-    """Classical state-space model ``D + H (lambda*I - F)^{-1} G``."""
-    F = as_complex_matrix(F)
-    G = as_complex_matrix(G)
-    H = as_complex_matrix(H)
+    """Classical state-space model ``D + H (lambda*I - F)^{-1} G``; each
+    block keeps the field of its data."""
+    F = as_matrix(F)
+    G = as_matrix(G)
+    H = as_matrix(H)
     d = F.shape[0]
     m, n = H.shape[0], G.shape[1]
     if D is None:
-        D = np.zeros((m, n), dtype=complex)
+        D = np.zeros((m, n))
     return SystemQuadruple(
         Pencil(F, np.eye(d)),
         constant_pencil(G),
@@ -380,10 +404,10 @@ def system_pencil(q: SystemQuadruple) -> Pencil:
     With :func:`split_system_pencil` this is the one place that knows the
     block layout of ``S`` and the sign of its ``B`` block.
     """
-    d = q.d
+    d, dtype = q.d, q.dtype
 
     def assemble(A, B, C, D):
-        S = np.empty((d + q.m, d + q.n), dtype=complex)
+        S = np.empty((d + q.m, d + q.n), dtype=dtype)
         S[:d, :d], S[:d, d:], S[d:, :d], S[d:, d:] = A, -B, C, D
         return S
 

@@ -523,6 +523,38 @@ def test_env_var_tolerance(tmp_path, capsys, monkeypatch):
     assert doc["tol"] == 1e-10
 
 
+def test_env_var_tolerance_read_on_each_call(tmp_path, capsys, monkeypatch):
+    # The parser is built once per process; its --tol default is not.
+    path = write_system(tmp_path, lambda_and_inverse_system())
+    tols = []
+    for value in ("1e-10", "1e-11"):
+        monkeypatch.setenv("STRONGMIN_TOL", value)
+        assert main(["structure", path]) == 0
+        tols.append(json.loads(capsys.readouterr().out)["tol"])
+    assert tols == [1e-10, 1e-11]
+
+
+def test_structure_reads_its_input_once(tmp_path, capsys, monkeypatch):
+    # The report's digest is the sha256 of the file, from the bytes parsed.
+    import builtins
+    import hashlib
+
+    path = write_system(tmp_path, lambda_and_inverse_system())
+    opened = []
+    real_open = builtins.open
+
+    def counted(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counted)
+    assert main(["structure", path]) == 0
+    monkeypatch.undo()
+    doc = json.loads(capsys.readouterr().out)
+    assert opened.count(path) == 1
+    assert doc["input_digest"] == hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 class TestCommandLine:
     """Usage errors exit 1, like input errors; 2 is kept for a degree-sum
     failure.  Each rejected argument gets one line on stderr."""

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from strongmin.linalg import (
-    as_complex_matrix,
+    as_matrix,
     col_compress,
     eig_pair,
     matrix_rank,
@@ -129,12 +129,24 @@ def test_matrix_rank_empty():
     assert matrix_rank(np.zeros((0, 4))) == 0
 
 
-def test_as_complex_matrix_copy_false_reads_in_place():
-    M = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
-    assert as_complex_matrix(M, copy=False) is M
-    assert as_complex_matrix(M) is not M
-    with pytest.raises(ValueError, match="ndim"):
-        as_complex_matrix(np.ones(3, dtype=complex), copy=False)
+def test_as_matrix_copy_false_reads_in_place():
+    for dtype in (float, complex):
+        M = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=dtype)
+        assert as_matrix(M, copy=False) is M
+        assert as_matrix(M) is not M
+        with pytest.raises(ValueError, match="ndim"):
+            as_matrix(np.ones(3, dtype=dtype), copy=False)
+
+
+@pytest.mark.parametrize(
+    "entries, dtype",
+    [([[1, 2]], np.float64), ([[True, False]], np.float64),
+     (np.ones((1, 2), dtype=np.float32), np.float64), ([[1.0, 2.0]], np.float64),
+     ([[1.0, 0j]], np.complex128), (np.ones((1, 2), dtype=np.complex64), np.complex128)],
+)
+def test_as_matrix_keeps_the_field(entries, dtype):
+    # Real data stay real and complex data complex, whatever their values.
+    assert as_matrix(entries).dtype == dtype
 
 
 @pytest.mark.parametrize("rank_fn", [matrix_rank, rank_revealing])

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import strongmin.linalg as linalg_module
 import strongmin.pencil as pencil_module
-from strongmin.linalg import DEFAULT_TOL, _rank_rule
+from strongmin.linalg import DEFAULT_TOL, _lapack, _rank_rule
 from strongmin.pencil import (
     _BOUND_MIN_ROWS,
     _ROTATION_TRIES,
@@ -376,14 +377,14 @@ class TestBoundedRotationSampler:
     @pytest.mark.parametrize("gap, raises", [(1e-8, False), (1e-10, True)])
     def test_cholesky_failure_falls_back_to_svd(self, monkeypatch, gap, raises):
         failures = []
-        zpotrf = pencil_module.lapack.zpotrf
+        zpotrf = _lapack("potrf", np.zeros((1, 1), dtype=complex))
 
         def counted(*args, **kwargs):
             R, info = zpotrf(*args, **kwargs)
             failures.append(info != 0)
             return R, info
 
-        monkeypatch.setattr(pencil_module.lapack, "zpotrf", counted)
+        monkeypatch.setitem(linalg_module._LAPACK["D"], "potrf", counted)
         results = self._assert_same(*nearly_dependent_rows(40, 42, gap=gap), seeds=[0])
         assert any(failures)
         assert isinstance(results[0], str) == raises

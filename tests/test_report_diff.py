@@ -169,3 +169,24 @@ def test_descriptor_inputs():
     assert list(inputs) == [f"descriptor/{s}" for s in range(30)]
     for q in inputs.values():
         assert np.linalg.norm(q.A.L1 - np.eye(q.d)) > 0.05
+
+
+def test_inputs_are_written_by_the_tool(tmp_path):
+    # Both trees read the same bytes: a zero imaginary part is written +0.0
+    # whatever its sign, and the file is a schema-1 quadruple file.
+    from strongmin.fileio import parse_quadruple, quadruple_to_dict
+    from strongmin.gallery import random_state_space
+    from strongmin.pencil import quadruple_from_constants
+
+    q = random_state_space(3)
+    blocks = [getattr(getattr(q, b), c) for b in "ABCD" for c in ("L0", "L1")]
+    real = quadruple_from_constants(*(M.real for M in blocks))
+    signed = quadruple_from_constants(*(M.real.astype(complex).conj() for M in blocks))
+    assert np.signbit(signed.A.L0.imag).all()
+    paths = [tmp_path / "real.json", tmp_path / "signed.json"]
+    for path, quad in zip(paths, (real, signed)):
+        report_diff.write_input(path, quad)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    back = parse_quadruple(paths[1])
+    assert back.A.L0.dtype == np.float64
+    assert quadruple_to_dict(back) == quadruple_to_dict(real)

@@ -13,8 +13,11 @@ examples below, corpus seeds 0-123 (``tests/corpus.exact_instance``),
 planted systems (``bench/workloads.planted_system``) at d = 16, 32, 64 and
 96, instances 100 and 101, unrotated, and descriptor systems with
 ``E != I`` (``tests/descriptor.descriptor_system``), seeds 0-29.  The
-input generators come from this checkout; only the code under test comes
-from ``TREE``.
+input generators come from this checkout, and each input file is written
+by this tool's own serializer (:func:`write_input`), not by ``TREE``: the
+schema-1 quadruple format with every ``-0.0`` imaginary part written as
+``+0.0``, so both trees read byte-identical files however their builders
+signed a zero.  Only the code under test comes from ``TREE``.
 
 ``compare`` holds two dumps to the same structure.  For every run both
 dumps hold, the exit codes, standard error and every integer, boolean and
@@ -104,6 +107,22 @@ def descriptor_inputs():
     return {f"descriptor/{s}": descriptor_system(s)[0] for s in DESCRIPTOR_SEEDS}
 
 
+_BLOCKS = (("A0", "A", "L0"), ("A1", "A", "L1"), ("B0", "B", "L0"), ("B1", "B", "L1"),
+           ("C0", "C", "L0"), ("C1", "C", "L1"), ("D0", "D", "L0"), ("D1", "D", "L1"))
+
+
+def write_input(path, q) -> None:
+    """Write the quadruple ``q`` as a schema-1 quadruple file: sorted keys,
+    shortest round-trip floats, each block a row-major list of ``[re, im]``
+    pairs, and ``-0.0`` imaginary parts written as ``+0.0``."""
+    doc = {"schema": 1, "d": q.d, "m": q.m, "n": q.n}
+    for name, block, coeff in _BLOCKS:
+        M = np.asarray(getattr(getattr(q, block), coeff), dtype=complex).reshape(-1)
+        doc[name] = [[float(z.real), float(z.imag) + 0.0] for z in M]
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    Path(path).write_text(text + "\n")
+
+
 def _run_cli(main, argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -117,7 +136,6 @@ def _run_cli(main, argv):
 def dump(src, out_path, input_sets) -> int:
     sys.path[:0] = [str(Path(src).resolve() / "src"), str(ROOT / "tests"), str(ROOT / "bench")]
     from strongmin.cli import main
-    from strongmin.fileio import write_quadruple
 
     builders = {
         "gallery": gallery_inputs,
@@ -130,7 +148,7 @@ def dump(src, out_path, input_sets) -> int:
         for name in input_sets:
             for label, quad in builders[name]().items():
                 path = Path(workdir) / (label.replace("/", "_") + ".json")
-                write_quadruple(path, quad)
+                write_input(path, quad)
                 for cmd, argv in COMMANDS.items():
                     for seed in SEEDS:
                         run = _run_cli(main, [*argv, str(path), "--seed", str(seed)])
