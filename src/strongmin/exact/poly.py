@@ -144,6 +144,8 @@ class Poly:
 
     def gcd(self, other: "Poly") -> "Poly":
         a, b = self, Poly.coerce(other)
+        if a.degree == 0 or b.degree == 0:
+            return ONE_POLY
         while not b.is_zero():
             a, b = b, a % b
         return a.monic() if not a.is_zero() else a

@@ -108,6 +108,15 @@ def _classified_eigenvalues(X: Pencil, tol: float, seed: int) -> np.ndarray:
     return np.asarray(vals, dtype=complex)
 
 
+def _form_eigenvalues(sf: StaircaseForm, tol: float, seed: int) -> np.ndarray:
+    """:func:`_classified_eigenvalues` of the regular part of ``sf``,
+    computed on the first call and read from ``sf.eigenvalues`` after.  A
+    form is only ever read with the ``tol`` and ``seed`` it was made with."""
+    if sf.eigenvalues is None:
+        sf.eigenvalues = _classified_eigenvalues(sf.regular_part, tol, seed)
+    return sf.eigenvalues
+
+
 _SIDES = ("controllable", "observable")
 
 
@@ -135,7 +144,7 @@ def _minimality_report(forms: dict, tol: float, seed: int) -> MinimalityReport:
     offending = [
         (complex(v), side)
         for side in _SIDES
-        for v in _classified_eigenvalues(forms[side].regular_part, tol, seed)
+        for v in _form_eigenvalues(forms[side], tol, seed)
     ]
     e_controllable, e_observable = (forms[side].d_reg == 0 for side in _SIDES)
     return MinimalityReport(
@@ -266,9 +275,10 @@ def _deflate(q: SystemQuadruple, side: str, sf: StaircaseForm, tol: float, seed:
             f"inconsistent deflation count: residual {leak:.2e} in deflated row"
         )
 
-    X = Pencil(T0[:r, :r], T1[:r, :r])
+    # The deflated block T[:r, :r] is unitarily equivalent to the regular
+    # part of sf, whose eigenvalues it carries.
     q_c = split_system_pencil(Pencil(T0[r:, r:], T1[r:, r:]), d - r)
-    deflated = _classified_eigenvalues(X, tol, seed)
+    deflated = _form_eigenvalues(sf, tol, seed)
     return q_c, ReductionRecord(W33, r, "controllable", deflated)
 
 

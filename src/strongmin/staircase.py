@@ -74,6 +74,9 @@ class StaircaseForm:
     ``X`` is ``d_reg x d_reg`` regular and carries the eigenvalue multiset of
     the input; ``S`` has full row rank for every lambda including infinity.
     ``block_sizes`` records the staircase steps as (columns, rows) peeled.
+    ``eigenvalues`` holds the classified eigenvalues of ``X`` once a reader
+    has computed them (``strongmin.minreal``), so they are computed once
+    per form.
     """
 
     U: np.ndarray
@@ -81,6 +84,7 @@ class StaircaseForm:
     transformed: Pencil
     d_reg: int
     block_sizes: list = field(default_factory=list)
+    eigenvalues: np.ndarray = field(default=None, repr=False, compare=False)
 
     @property
     def regular_part(self) -> Pencil:

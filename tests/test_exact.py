@@ -1,6 +1,11 @@
+import hashlib
+import json
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strongmin.exact import (
     GQ,
@@ -30,6 +35,38 @@ def rf(num, den=1):
                   Poly.coerce(den) if not isinstance(den, (list, tuple)) else Poly(den))
 
 
+def _triple(z: GQ):
+    """The stored integer triple ``(a, b, d)`` of ``z = (a + b i)/d``."""
+    return z._a, z._b, z._d
+
+
+def _canonical(z: GQ) -> bool:
+    a, b, d = _triple(z)
+    return d > 0 and gcd(a, b, d) == 1
+
+
+# Reference arithmetic on (re, im) pairs of Fractions.
+def _ref_add(x, y):
+    return x[0] + y[0], x[1] + y[1]
+
+
+def _ref_sub(x, y):
+    return x[0] - y[0], x[1] - y[1]
+
+
+def _ref_mul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _ref_div(x, y):
+    n = y[0] * y[0] + y[1] * y[1]
+    return (x[0] * y[0] + x[1] * y[1]) / n, (x[1] * y[0] - x[0] * y[1]) / n
+
+
+_fracs = st.fractions(min_value=-40, max_value=40, max_denominator=24)
+_pairs = st.tuples(_fracs, _fracs)
+
+
 class TestScalars:
     def test_arithmetic(self):
         a = GQ(Fraction(1, 2), 1)
@@ -37,6 +74,71 @@ class TestScalars:
         assert a + b == GQ(Fraction(5, 2), 0)
         assert a * b == GQ(2, Fraction(3, 2))
         assert (a / b) * b == a
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(x=_pairs, y=_pairs)
+    def test_matches_fraction_pair_reference(self, x, y):
+        zx, zy = GQ(*x), GQ(*y)
+        assert (zx.re, zx.im) == x and _canonical(zx)
+        results = [
+            (zx + zy, _ref_add(x, y)),
+            (zx - zy, _ref_sub(x, y)),
+            (zx * zy, _ref_mul(x, y)),
+            (-zx, (-x[0], -x[1])),
+            (zx.conjugate(), (x[0], -x[1])),
+        ]
+        if any(y):
+            results.append((zx / zy, _ref_div(x, y)))
+            results.append((zy.inverse(), _ref_div((Fraction(1), Fraction(0)), y)))
+        else:
+            for op in (lambda: zx / zy, zy.inverse, lambda: zx / 0):
+                with pytest.raises(ZeroDivisionError):
+                    op()
+        for z, (re, im) in results:
+            assert (z.re, z.im) == (re, im)
+            assert isinstance(z.re, Fraction) and isinstance(z.im, Fraction)
+            assert _canonical(z)
+            assert z == GQ(re, im) and _triple(z) == _triple(GQ(re, im))
+            assert hash(z) == hash(GQ(re, im)) == hash((re, im))
+        assert zx.abs2() == x[0] * x[0] + x[1] * x[1]
+        assert bool(zx) == any(x)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(x=_pairs, y=_pairs)
+    def test_equal_values_built_differently(self, x, y):
+        z = GQ(*x)
+        others = [
+            GQ(str(x[0]), str(x[1])),
+            GQ(z),
+            (z + GQ(*y)) - GQ(*y),
+            GQ(x[0]) + GQ(0, x[1]),
+        ]
+        if any(y):
+            others.append((z * GQ(*y)) / GQ(*y))
+        for w in others:
+            assert w == z and _triple(w) == _triple(z)
+            assert hash(w) == hash(z)
+        assert len({z, *others}) == 1
+        if not x[1]:
+            assert z == x[0]
+
+    def test_gq_copy_rejects_an_imaginary_part(self):
+        z = GQ(Fraction(1, 3), 2)
+        assert _triple(GQ(z)) == _triple(z) == (1, 6, 3)
+        assert _triple(GQ(z, 0)) == _triple(z)
+        with pytest.raises(TypeError, match="imaginary part"):
+            GQ(z, 1)
+        with pytest.raises(TypeError):
+            GQ(1.5)
+
+    def test_constructor_inputs(self):
+        assert _triple(GQ(True, False)) == (1, 0, 1)
+        assert _triple(GQ("-4/6", Fraction(2, 4))) == (-4, 3, 6)
+        assert _triple(GQ(0, Fraction(-3, 9))) == (0, -1, 3)
+        assert _triple(GQ()) == (0, 0, 1)
+        assert GQ(Fraction(1, 2), 1).to_complex() == complex(0.5, 1.0)
+        assert repr(GQ(Fraction(-2, 3))) == "GQ(-2/3)"
+        assert repr(GQ(1, Fraction(1, 2))) == "GQ(1, 1/2)"
 
     def test_sqrt(self):
         assert gq_sqrt(GQ(4)) == GQ(2)
@@ -51,6 +153,18 @@ class TestPoly:
         q = (X - 2) * (X + 5)
         g = p.gcd(q)
         assert g == (X - 2).monic()
+
+    def test_gcd_with_a_constant(self):
+        p = (X - 1) * (2 * X + GQ(0, 3))
+        for c in (GQ(3), GQ(Fraction(-1, 2), 5)):
+            assert p.gcd(Poly([c])) == Poly([1])
+            assert Poly([c]).gcd(p) == Poly([1])
+            assert Poly([c]).gcd(Poly([2])) == Poly([1])
+        assert p.gcd(Poly()) == p.monic()
+        assert Poly().gcd(p) == p.monic()
+        assert Poly().gcd(Poly()).is_zero()
+        assert RatFun(p, 3) == RatFun(p * GQ(Fraction(1, 3)))
+        assert RatFun(p, 3).den == Poly([1])
 
     def test_deflate_and_valuation(self):
         p = (X - 1) * (X - 1) * (X + 2)
@@ -276,3 +390,41 @@ def test_quadruple_to_numeric_matches_exact_transfer():
     qn = q.to_numeric()
     for z in (0.7, 2.0 + 1.0j, -3.1):
         assert np.allclose(R.eval_complex(z), transfer_eval(qn, z), rtol=1e-12)
+
+
+# sha256 of the canonical dump of full_structure_exact over corpus seeds
+# 0-123 (see _corpus_structure_dump).  Any change to the exact layer must
+# leave every one of these structures as it is.
+CORPUS_STRUCTURE_SHA256 = (
+    "d5405b5b0962ec5582f6447cea4fff04461acf670e40d2c2fd247a83ff48ceed"
+)
+
+
+def _corpus_structure_dump(seeds) -> str:
+    """Canonical JSON of the exact structure of each corpus seed: normal
+    rank, finite points as ``repr`` strings of their real and imaginary
+    parts with their indices, infinity indices and both minimal-index
+    tuples."""
+    from corpus import exact_instance
+
+    out = []
+    for seed in seeds:
+        _, R, cands = exact_instance(seed)
+        s = full_structure_exact(R, candidates=cands)
+        out.append({
+            "seed": seed,
+            "normal_rank": s.normal_rank,
+            "finite_points": sorted(
+                [repr(z.real), repr(z.imag), list(idx)]
+                for z, idx in s.finite_points.items()
+            ),
+            "infinity_indices": list(s.infinity_indices),
+            "right_minimal": list(s.right_minimal),
+            "left_minimal": list(s.left_minimal),
+        })
+    return json.dumps(out, sort_keys=True, separators=(",", ":"))
+
+
+def test_corpus_structures_are_pinned():
+    text = _corpus_structure_dump(range(124))
+    assert hashlib.sha256(text.encode()).hexdigest() == CORPUS_STRUCTURE_SHA256

@@ -143,6 +143,43 @@ def test_observable_offending_eigenvalues_match_stacked_pencil(build):
     assert np.all(rel <= 1e-12)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: _unobservable_state_space(31, d=7, k=3), id="d7-k3"),
+        pytest.param(
+            lambda: example_polynomial_system(
+                *random_e5_e1(np.random.default_rng(7))
+            ).transpose(),
+            id="infinite",
+        ),
+    ],
+)
+def test_deflation_reuses_the_classified_eigenvalues_of_its_form(monkeypatch, build):
+    # The deflated block is unitarily equivalent to the regular part of the
+    # side's test form, so its eigenvalues are classified once per form, and
+    # the pass deflates exactly the eigenvalues the minimality report lists.
+    import strongmin.minreal as minreal
+
+    sizes = []
+    classify = minreal._classified_eigenvalues
+
+    def counted(X, tol, seed):
+        sizes.append(X.rows)
+        return classify(X, tol, seed)
+
+    monkeypatch.setattr(minreal, "_classified_eigenvalues", counted)
+    q = build()
+    forms = minreal._test_forms(q, {}, 1e-12, 0)
+    report = minreal._minimality_report(forms, 1e-12, 0)
+    assert sizes == [0, forms["observable"].d_reg] and sizes[1] > 0
+    _, rec = minreal._deflate(q, "observable", forms["observable"], 1e-12, 0)
+    assert len(sizes) == 2
+    want = [v for v, side in report.offending_eigenvalues if side == "observable"]
+    assert rec.d_deflated == len(want)
+    np.testing.assert_array_equal(rec.deflated_eigenvalues, want)
+
+
 class TestReduceControllable:
     def test_already_controllable_identity(self):
         q = random_state_space(3)
