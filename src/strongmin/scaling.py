@@ -9,8 +9,12 @@ balances it to a doubly stochastic matrix; the bordered matrix is fully
 indecomposable whenever ``M != 0``, so the scaling exists, is unique, and is
 bounded.  The balancing is the symmetric Newton iteration of Knight & Ruiz
 ("A fast algorithm for matrix balancing", IMA J. Numer. Anal. 33, 2013),
-kept under the name :func:`sinkhorn_knopp`; its iteration count is the
-number of Newton steps.
+kept under the name :func:`sinkhorn_knopp`.  The bordered matrices are
+small and dense, so each Newton step is exact: one Cholesky solve of the
+Newton system (a minimum-norm least-squares solve when that system is
+singular), cut back so that every update factor stays in ``[0.1, 3]``.
+The iteration count is the number of Newton steps, and a matrix without
+total support, which has no doubly stochastic scaling, stops unconverged.
 """
 from __future__ import annotations
 
@@ -21,6 +25,7 @@ from typing import Optional
 
 import numpy as np
 
+from .linalg import _LAPACK
 from .pencil import Pencil
 
 
@@ -89,12 +94,10 @@ def build_M_alpha(M, alpha: float, m: int, n: int) -> np.ndarray:
     return np.vstack([top, bot])
 
 
-# Knight-Ruiz bnewt constants: inner-solve forcing term and the bounds that
-# keep each Newton update factor, and so the scaling, positive.
-_KR_G = 0.9
-_KR_ETAMAX = 0.1
+# Bounds on each Newton update factor: they keep the scaling positive.
 _KR_DELTA_LO = 0.1
 _KR_DELTA_HI = 3.0
+_EPS = float(np.finfo(float).eps)
 
 
 def sinkhorn_knopp(S, tol: float = 1e-10, max_iter: int = 10000, x0=None):
@@ -102,18 +105,31 @@ def sinkhorn_knopp(S, tol: float = 1e-10, max_iter: int = 10000, x0=None):
 
     Finds a positive ``x`` such that ``diag(x) S diag(x)`` has all row and
     column sums equal to 1, by the Newton iteration of Knight & Ruiz ("A
-    fast algorithm for matrix balancing", IMA J. Numer. Anal. 33, 2013,
-    algorithm ``bnewt``).  Each Newton step solves its linear system by
-    conjugate gradients to a forcing-term accuracy, and the step is cut
-    back so that every update factor stays in ``[0.1, 3]``, which keeps
-    ``x`` positive.
+    fast algorithm for matrix balancing", IMA J. Numer. Anal. 33, 2013),
+    with each Newton system solved exactly.  A step updates ``x <- x * y``,
+    the correction ``y - 1`` solving ``(diag(v) + X S X)(y - 1) = 1 - v``
+    with ``v = x * (S x)`` and ``X = diag(x)`` by one Cholesky
+    factorization; the step is then cut back along the correction so that
+    every update factor stays in ``[0.1, 3]``, which keeps ``x`` positive.
+
+    The Newton matrix is symmetric positive semidefinite.  It is singular
+    when a connected part of the pattern of ``S`` is bipartite, as in
+    ``[[0, 2], [2, 0]]``, where the scaling is not unique; the step then
+    takes the minimum-norm least-squares correction.  When part of ``1 - v``
+    lies outside the range of that singular matrix, no step can remove it:
+    ``S`` lacks total support and has no doubly stochastic scaling.  The
+    iteration then stops unconverged with ``x`` finite, as it does once a
+    diverging ``x`` makes the Newton matrix singular to rounding.  (A
+    pattern with support but not total support, such as
+    ``[[1, 1], [1, 0]]``, may still meet ``tol`` with entries of ``x``
+    far apart.)
 
     Returns ``(d_row, d_col, iterations, converged)``: both scalings are
     ``x``, ``iterations`` counts Newton steps, and ``converged`` is True
     when every row and column sum is within ``tol`` of 1.  ``x0`` is the
-    positive starting vector (all ones by default).  Raises on a matrix
-    that is not square, nonnegative and symmetric, or has a zero row or
-    column.
+    positive starting vector (all ones by default); a start that meets
+    ``tol`` takes no step.  Raises on a matrix that is not square,
+    nonnegative and symmetric, or has a zero row or column.
     """
     S = np.asarray(S, dtype=float)
     k = S.shape[0]
@@ -125,62 +141,39 @@ def sinkhorn_knopp(S, tol: float = 1e-10, max_iter: int = 10000, x0=None):
         raise ValueError("zero row/column")
     if not np.array_equal(S, S.T):
         raise ValueError("matrix must be symmetric")
+    potrf, potrs = _LAPACK["d"]["potrf"], _LAPACK["d"]["potrs"]
     x = np.ones(k) if x0 is None else np.asarray(x0, float).copy()
     v = x * (S @ x)
-    rk = 1.0 - v
-    rout = rold = float(rk @ rk)
-    rt = tol**2
-    eta = _KR_ETAMAX
-    dev = float(np.max(np.abs(rk)))
+    dev = float(np.max(np.abs(1.0 - v)))
     it = 0
-    # A start that meets tol, an exact solution (residual 0) included, takes
-    # no step; below, the forcing-term update divides by the residual.
     while dev > tol and it < max_iter:
+        K = (x[:, None] * S) * x[None, :]
+        K.flat[:: k + 1] += v
+        r = 1.0 - v
+        # K is symmetric: its transpose is the same matrix in the Fortran
+        # order LAPACK reads without a reordering copy.
+        R, info = potrf(K.T, lower=1, clean=0)
+        # A failed factorization, or a pivot at the rounding level of its
+        # diagonal entry, means K is singular: take the minimum-norm
+        # least-squares correction instead.
+        if info == 0 and np.min(R.diagonal() ** 2 / K.diagonal()) > k * _EPS:
+            step = potrs(R, r, lower=1)[0]
+        else:
+            step = np.linalg.lstsq(K, r, rcond=None)[0]
+            # Part of r outside the range of K, which no step removes,
+            # means S lacks total support.
+            if np.linalg.norm(K @ step - r) > _EPS**0.5 * np.linalg.norm(r):
+                break
         it += 1
-        # Conjugate gradients, preconditioned by diag(v), on the Newton
-        # system for the update factor y (x <- x * y).
-        y = np.ones(k)
-        innertol = max(eta**2 * rout, rt)
-        rho = rout
-        inner = 0
-        while rho > innertol:
-            inner += 1
-            if inner == 1:
-                z = rk / v
-                p = z
-                rho = float(rk @ z)
-            else:
-                p = z + (rho / rho_prev) * p
-            w = x * (S @ (x * p)) + v * p
-            alpha = rho / float(p @ w)
-            ap = alpha * p
-            ynew = y + ap
-            if ynew.min() <= _KR_DELTA_LO:
-                ind = ap < 0
-                y = y + np.min((_KR_DELTA_LO - y[ind]) / ap[ind]) * ap
-                break
-            if ynew.max() >= _KR_DELTA_HI:
-                ind = ynew >= _KR_DELTA_HI
-                y = y + np.min((_KR_DELTA_HI - y[ind]) / ap[ind]) * ap
-                break
-            y = ynew
-            rk = rk - alpha * w
-            rho_prev = rho
-            z = rk / v
-            rho = float(rk @ z)
-        x = x * y
+        low, high = float(step.min()), float(step.max())
+        t = min(
+            1.0,
+            (_KR_DELTA_LO - 1.0) / low if low < 0 else 1.0,
+            (_KR_DELTA_HI - 1.0) / high if high > 0 else 1.0,
+        )
+        x = x * (1.0 + t * step)
         v = x * (S @ x)
-        rk = 1.0 - v
-        rout = float(rk @ rk)
-        dev = float(np.max(np.abs(rk)))
-        if dev <= tol:
-            break
-        eta_prev = eta
-        eta = _KR_G * rout / rold
-        rold = rout
-        if _KR_G * eta_prev**2 > 0.1:
-            eta = max(eta, _KR_G * eta_prev**2)
-        eta = max(min(eta, _KR_ETAMAX), 0.5 * tol / math.sqrt(rout))
+        dev = float(np.max(np.abs(1.0 - v)))
     return x, x.copy(), it, dev <= tol
 
 

@@ -121,6 +121,38 @@ def test_reduced_quadruples_compared_by_shape_and_counts():
         report_diff.compare_runs(run, other, 0.0)
 
 
+def scale_run(**fields):
+    doc = {
+        "pencil": {"rows": 2, "cols": 2, "L0": [[1.0, 0.0]] * 4, "L1": [[0.5, 0.0]] * 4},
+        "d_left": [0.5, 2.0], "d_right": [1.0, 0.25], "d_lambda": 1.0,
+        "iterations": 11, "residual": 3e-11, "converged": True,
+        "row_norms": [1.0, 1.0], "col_norms": [1.0, 1.0], "gamma": 0.25,
+    }
+    doc.update(fields)
+    return {"exit": 0, "stdout": json.dumps(doc), "stderr": "row norms: ...\n"}
+
+
+def test_scale_runs_compared_by_their_scalings():
+    # Newton steps and the residual they reach may differ; the scalings,
+    # the convergence flag and the pencil's shape may not.
+    run = scale_run()
+    assert report_diff.compare_runs(run, scale_run(iterations=21, residual=1e-12), 0.0) == 0.0
+    for change in ({"d_left": [0.5, 1.0]}, {"d_right": [1.0, 0.5]}, {"d_lambda": 2.0},
+                   {"converged": False},
+                   {"pencil": {"rows": 3, "cols": 2, "L0": [], "L1": []}}):
+        with pytest.raises(report_diff.Mismatch):
+            report_diff.compare_runs(run, scale_run(**change), 0.0)
+
+
+def test_scale_inputs(monkeypatch):
+    # The gallery examples and the benchmark's chain systems, seeds 0-9.
+    monkeypatch.syspath_prepend(str(_PATH.parent.parent / "bench"))
+    inputs = report_diff.scale_inputs()
+    gallery = [label.replace("gallery/", "scale/") for label in report_diff.gallery_inputs()]
+    assert list(inputs) == gallery + [f"scale/chain_{s}" for s in range(10)]
+    assert all(inputs[f"scale/chain_{s}"].d == 8 for s in range(10))
+
+
 def test_report_written_by_one_run_only_fails():
     a, b = dumps(POINTS)
     b["reports"]["corpus/1|structure|s0"]["stdout"] = ""
@@ -159,6 +191,24 @@ def test_dump_gallery(tmp_path):
     assert runs["gallery/polynomial_e5_e1|structure-no-reduce|s0"]["exit"] == 1
     assert runs["gallery/polynomial_e5_e1|structure|s0"]["exit"] == 0
     assert report_diff.compare_dumps({"reports": runs}, {"reports": runs}, 0.0)[0] == []
+
+
+def test_dump_scale(tmp_path):
+    # Every balancing of the scale set converges, and its report names the
+    # power-of-2 scalings.
+    out = tmp_path / "scale.json"
+    subprocess.run(
+        [sys.executable, str(_PATH), "dump", "--src", str(_PATH.parent.parent),
+         "--inputs", "scale", str(out)],
+        check=True, capture_output=True, timeout=300,
+    )
+    runs = json.loads(out.read_text())["reports"]
+    assert len(runs) == 17 * len(report_diff.SEEDS)
+    for run in runs.values():
+        assert run["exit"] == 0
+        doc = json.loads(run["stdout"])
+        assert doc["converged"]
+        assert all(np.log2(v) == round(np.log2(v)) for v in doc["d_left"] + doc["d_right"])
 
 
 def test_descriptor_inputs():

@@ -1,5 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strongmin.gallery import example_polynomial_system
 from strongmin.pencil import Pencil, generalized_eigenvalues, system_pencil
@@ -12,6 +16,7 @@ from strongmin.scaling import (
     quantize_pow2,
     scale_approach1,
     scale_approach2,
+    scaled_quadruple,
     sinkhorn_knopp,
 )
 from test_acceptance import random_e5_e1
@@ -51,6 +56,12 @@ class TestBuildMAlpha:
         assert np.all(np.diag(S) > 0)
 
 
+def _bipartite_kron():
+    B = np.random.default_rng(0).random((3, 3))
+    S = np.kron([[0.0, 1.0], [1.0, 0.0]], B)
+    return S + S.T
+
+
 class TestSinkhornKnopp:
     def test_scalar(self):
         d_row, d_col, _, conv = sinkhorn_knopp(np.array([[2.0]]))
@@ -87,6 +98,47 @@ class TestSinkhornKnopp:
         assert conv_z
         assert np.allclose(z, x, rtol=1e-12)
 
+    @pytest.mark.parametrize("S, factors", [
+        ([[1e-6]], [3.0]),
+        ([[0.0, 1e6, 1e-6], [1e6, 0.0, 1.0], [1e-6, 1.0, 1e-6]], [1.9, 0.1, 1.9]),
+    ])
+    def test_newton_step_is_cut_back(self, S, factors):
+        # The Newton corrections from ones are about 5e5 and below -0.9:
+        # the step is shortened until the extreme factor sits on 3 or 0.1.
+        x, _, it, _ = sinkhorn_knopp(np.array(S), max_iter=1)
+        assert it == 1
+        assert x == pytest.approx(factors, rel=1e-5)
+
+    @pytest.mark.parametrize("S, max_steps", [
+        (np.array([[0.0, 2.0], [2.0, 0.0]]), 4),
+        (_bipartite_kron(), 5),
+    ], ids=["swap", "kron"])
+    def test_singular_newton_system(self, S, max_steps):
+        # A bipartite pattern makes every Newton matrix singular and the
+        # scaling non-unique; the minimum-norm correction still reaches a
+        # doubly stochastic scaling, in no more steps than the
+        # conjugate-gradient iteration took.
+        x, _, it, conv = sinkhorn_knopp(S)
+        assert conv
+        assert it <= max_steps
+        P = (x[:, None] * S) * x[None, :]
+        assert np.max(np.abs(P.sum(axis=1) - 1.0)) <= 1e-10
+
+    @pytest.mark.parametrize("S", [
+        [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]],
+        [[0.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 0.0]],
+        [[0.0, 1.0, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+         [1.0, 0.0, 0.0, 0.0]],
+    ], ids=["path", "looped_path", "star"])
+    def test_no_total_support_stops_unconverged(self, S):
+        # No doubly stochastic scaling exists: the path and the star are
+        # bipartite with unequal sides, and the looped path drives its ends
+        # apart until its Newton matrix is singular to rounding.
+        x, _, it, conv = sinkhorn_knopp(np.array(S))
+        assert not conv
+        assert it <= 20
+        assert np.all(np.isfinite(x)) and np.all(x > 0)
+
 
 def _chain_pencil(seed):
     """Criterion-9 system pencil: degree-5 chain with a root near 1e5."""
@@ -104,6 +156,33 @@ class TestChainPencilBalancing:
         )
         assert res.converged
         assert res.iterations <= 50
+
+    def test_chain_balancing_is_quadratic(self):
+        # Exact Newton steps: 10-11 per pencil; the conjugate-gradient
+        # iteration took 18-23.
+        steps = [
+            balance_pencil(
+                _chain_pencil(seed), approach=2, alpha=1e-2, pow2=True,
+                use_lambda_scale=False,
+            )[1].iterations
+            for seed in range(9000, 9020)
+        ]
+        assert max(steps) <= 15
+
+    def test_scaled_chains_are_pinned(self):
+        # The power-of-2 scalings of 200 chain quadruples, and so every
+        # scaled coefficient, are those of the conjugate-gradient iteration
+        # that preceded exact Newton steps: the digest was computed with it.
+        digest = hashlib.sha256()
+        for seed in range(9000, 9200):
+            rng = np.random.default_rng(seed)
+            e5, e1, _ = random_e5_e1(rng, big_root=1e5, normalize=True)
+            q, _, Dm, Dn = scaled_quadruple(example_polynomial_system(e5, e1))
+            for M in (q.A.L0, q.A.L1, q.B.L0, q.B.L1, q.C.L0, q.C.L1,
+                      q.D.L0, q.D.L1, Dm, Dn):
+                digest.update(np.ascontiguousarray(M, dtype=complex).tobytes())
+        assert digest.hexdigest() == (
+            "482527aa2aacee55c1ba70616f157644a60334b615383c57fecde8c8a8206a10")
 
     def test_unconverged_warns(self):
         with pytest.warns(RuntimeWarning, match="after 2 iterations, residual"):
@@ -254,6 +333,38 @@ class TestApproach2:
                              init=(rng.random(3) + 0.5, rng.random(5) + 0.5))
         assert np.allclose(r1.d_left, r2.d_left, rtol=1e-8)
         assert np.allclose(r1.d_right, r2.d_right, rtol=1e-8)
+
+
+def _plain_sinkhorn(S, tol):
+    """Symmetric Sinkhorn iteration ``x <- sqrt(x / (S x))`` from ones."""
+    x = np.ones(len(S))
+    for _ in range(100000):
+        if np.max(np.abs(x * (S @ x) - 1.0)) <= tol:
+            return x
+        x = np.sqrt(x / (S @ x))
+    raise AssertionError("plain Sinkhorn did not reach tol")
+
+
+@st.composite
+def _sparse_nonnegative(draw):
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entries = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+    return np.array(draw(st.lists(entries, min_size=m * n, max_size=m * n))).reshape(m, n)
+
+
+# Plain Sinkhorn contracts the balance between the two diagonal blocks by a
+# factor near 1 - alpha^2 per sweep, so alpha starts at 0.05 (at most about
+# 14000 sweeps); smaller alpha would need millions.
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(M=_sparse_nonnegative(), alpha=st.floats(0.05, 1.0))
+def test_approach2_matches_plain_sinkhorn(M, alpha):
+    m, n = M.shape
+    res = scale_approach2(np.sqrt(M), np.zeros((m, n)), alpha=alpha, tol=1e-13)
+    x = _plain_sinkhorn(build_M_alpha(M, alpha, m, n), 1e-13)
+    d = np.sqrt(x * np.prod(x) ** (-1.0 / (m + n)))
+    assert res.converged
+    assert np.allclose(res.d_left, d[:m], rtol=1e-8, atol=0)
+    assert np.allclose(res.d_right, d[m:], rtol=1e-8, atol=0)
 
 
 class TestQuantizePow2:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Structural-equivalence gate for CLI reports across two source trees.
 
-    python3 tools/report_diff.py dump --src TREE OUT.json [--inputs gallery,corpus,planted,descriptor]
+    python3 tools/report_diff.py dump --src TREE OUT.json [--inputs gallery,corpus,planted,descriptor,scale]
     python3 tools/report_diff.py compare A.json B.json [--rel 1e-8]
 
 ``dump`` runs ``strongmin structure`` (with and without ``--no-reduce``)
@@ -13,6 +13,9 @@ examples below, corpus seeds 0-123 (``tests/corpus.exact_instance``),
 planted systems (``bench/workloads.planted_system``) at d = 16, 32, 64 and
 96, instances 100 and 101, unrotated, and descriptor systems with
 ``E != I`` (``tests/descriptor.descriptor_system``), seeds 0-29.  The
+``scale`` set instead runs ``strongmin scale --approach 2 --alpha 0.01
+--pow2`` on the gallery examples and on the chain systems of
+``bench/workloads.chain_instance``, seeds 0-9.  The
 input generators come from this checkout, and each input file is written
 by this tool's own serializer (:func:`write_input`), not by ``TREE``: the
 schema-1 quadruple format with every ``-0.0`` imaginary part written as
@@ -26,9 +29,11 @@ deflation counts, flags, and the input digest.  Finite points and
 offending eigenvalues must match one to one, each with equal indices (or
 side), within ``--rel`` relative to ``max(1, |point|)``.  Reduced
 quadruples are compared by their integer fields and matrix shapes only;
-their entries depend on the basis.  Prints each difference and the largest
-point drift; exits 1 when any run differs.  ``--rel 0`` asserts that no
-point moved at all.
+their entries depend on the basis.  Balancing reports must agree in
+``converged``, the scaled pencil's shape and exactly in ``d_left``,
+``d_right`` and ``d_lambda``; ``iterations`` and ``residual`` may differ.
+Prints each difference and the largest point drift; exits 1 when any run
+differs.  ``--rel 0`` asserts that no point moved at all.
 """
 from __future__ import annotations
 
@@ -48,12 +53,14 @@ SEEDS = (0, 1, 2)
 CORPUS_SEEDS = tuple(range(124))
 PLANTED = tuple((d, inst) for d in (16, 32, 64, 96) for inst in (100, 101))
 DESCRIPTOR_SEEDS = tuple(range(30))
+CHAIN_SEEDS = tuple(range(10))
 COMMANDS = {
     "structure": ["structure"],
     "structure-no-reduce": ["structure", "--no-reduce"],
     "reduce": ["reduce"],
 }
-INPUT_SETS = ("gallery", "corpus", "planted", "descriptor")
+SCALE_COMMANDS = {"scale": ["scale", "--approach", "2", "--alpha", "0.01", "--pow2"]}
+INPUT_SETS = ("gallery", "corpus", "planted", "descriptor", "scale")
 
 
 # --------------------------------------------------------------------- dump
@@ -107,6 +114,18 @@ def descriptor_inputs():
     return {f"descriptor/{s}": descriptor_system(s)[0] for s in DESCRIPTOR_SEEDS}
 
 
+def scale_inputs():
+    """The gallery examples and the benchmark's chain systems."""
+    from strongmin.gallery import example_polynomial_system
+    from workloads import chain_instance
+
+    out = {label.replace("gallery/", "scale/"): q for label, q in gallery_inputs().items()}
+    for s in CHAIN_SEEDS:
+        e5, e1, _ = chain_instance(s)
+        out[f"scale/chain_{s}"] = example_polynomial_system(e5, e1)
+    return out
+
+
 _BLOCKS = (("A0", "A", "L0"), ("A1", "A", "L1"), ("B0", "B", "L0"), ("B1", "B", "L1"),
            ("C0", "C", "L0"), ("C1", "C", "L1"), ("D0", "D", "L0"), ("D1", "D", "L1"))
 
@@ -138,18 +157,20 @@ def dump(src, out_path, input_sets) -> int:
     from strongmin.cli import main
 
     builders = {
-        "gallery": gallery_inputs,
-        "corpus": corpus_inputs,
-        "planted": planted_inputs,
-        "descriptor": descriptor_inputs,
+        "gallery": (gallery_inputs, COMMANDS),
+        "corpus": (corpus_inputs, COMMANDS),
+        "planted": (planted_inputs, COMMANDS),
+        "descriptor": (descriptor_inputs, COMMANDS),
+        "scale": (scale_inputs, SCALE_COMMANDS),
     }
     reports = {}
     with tempfile.TemporaryDirectory(prefix="report_diff_") as workdir:
         for name in input_sets:
-            for label, quad in builders[name]().items():
+            inputs, commands = builders[name]
+            for label, quad in inputs().items():
                 path = Path(workdir) / (label.replace("/", "_") + ".json")
                 write_input(path, quad)
-                for cmd, argv in COMMANDS.items():
+                for cmd, argv in commands.items():
                     for seed in SEEDS:
                         run = _run_cli(main, [*argv, str(path), "--seed", str(seed)])
                         reports[f"{label}|{cmd}|s{seed}"] = run
@@ -251,6 +272,12 @@ def _compare_reduced(a, b):
     return 0.0
 
 
+def _compare_scaled(a, b):
+    _same(a, b, ("converged", "d_left", "d_right", "d_lambda"), "")
+    _same(a["pencil"], b["pencil"], ("rows", "cols"), "pencil.")
+    return 0.0
+
+
 def compare_runs(a, b, rel):
     """Largest point drift between two runs of one query; raises
     :class:`Mismatch` when they differ in structure."""
@@ -265,6 +292,8 @@ def compare_runs(a, b, rel):
     da, db = json.loads(a["stdout"]), json.loads(b["stdout"])
     if "structure" in da or "structure" in db:
         return _compare_structure(da, db, rel)
+    if "d_left" in da or "d_left" in db:
+        return _compare_scaled(da, db)
     return _compare_reduced(da, db)
 
 
