@@ -19,7 +19,6 @@ from strongmin import (
     system_pencil,
 )
 from strongmin.gallery import example_polynomial_system
-from strongmin.linalg import random_unitary
 from strongmin.scaling import scaled_quadruple
 
 rng = np.random.default_rng(9001)
@@ -35,9 +34,17 @@ roots.append(root1)
 q = example_polynomial_system(e5, e1)
 S = system_pencil(q)
 
+
+def random_unitary(n):
+    """Unitary factor of a QR of a complex Gaussian, phases fixed by R."""
+    G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    Q, R = np.linalg.qr(G)
+    return Q * (np.diag(R) / np.abs(np.diag(R)))
+
+
 # Method A: QZ on a randomly unitarily-equivalent copy of the raw pencil.
-Q = random_unitary(rng, S.rows)
-Z = random_unitary(rng, S.cols)
+Q = random_unitary(S.rows)
+Z = random_unitary(S.cols)
 vals_raw = generalized_eigenvalues(Pencil(Q @ S.L0 @ Z, Q @ S.L1 @ Z))
 
 # Method B: balance, reduce, and report deflated + retained eigenvalues.

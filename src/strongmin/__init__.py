@@ -6,14 +6,7 @@ of the complete pole/zero/minimal-index structure of the rational transfer
 function, cross-validated against an exact-arithmetic oracle.
 """
 
-from .linalg import (
-    DEFAULT_TOL,
-    RankDecision,
-    col_compress,
-    matrix_rank,
-    rank_revealing,
-    row_compress,
-)
+from .linalg import DEFAULT_TOL, col_compress, matrix_rank
 from .pencil import (
     Pencil,
     Rotation,
@@ -55,7 +48,6 @@ from .minreal import (
     strongly_minimal_reduce,
 )
 from .scaling import (
-    BalanceProblem,
     ScalingDivergence,
     ScalingResult,
     apply_scaling,
@@ -71,7 +63,6 @@ from .mcmillan import (
     McMillanStructure,
     NotStronglyMinimal,
     degree_sum_check,
-    mcmillan_degree,
     rational_structure,
 )
 

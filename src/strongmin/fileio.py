@@ -150,8 +150,8 @@ def parse_quadruple(path) -> SystemQuadruple:
 
 
 def read_quadruple(path):
-    """:func:`parse_quadruple` and :func:`file_digest` of ``path`` from
-    one read of the file: ``(quadruple, sha256 hex digest)``."""
+    """:func:`parse_quadruple` and the sha256 hex digest of the bytes of
+    ``path``, from one read of the file: ``(quadruple, digest)``."""
 
     def _reject(token):
         raise QuadrupleFormatError(f"non-finite literal {token!r} in file")
@@ -163,11 +163,6 @@ def read_quadruple(path):
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise QuadrupleFormatError(f"invalid JSON: {exc}") from exc
     return quadruple_from_dict(doc), hashlib.sha256(data).hexdigest()
-
-
-def file_digest(path) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def matrix_to_pairs(M: np.ndarray) -> list:

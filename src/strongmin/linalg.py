@@ -19,8 +19,6 @@ floor sub-block thresholds at the scale of the whole pencil.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 from scipy.linalg import lapack
 
@@ -76,19 +74,6 @@ def as_matrix(M, copy: bool = True, dtype=None) -> np.ndarray:
     return A
 
 
-@dataclass(eq=False)
-class RankDecision:
-    """Outcome of a numerical rank determination.
-
-    ``rank`` is the number of singular values strictly greater than
-    ``tolerance_used`` (the absolute threshold actually applied).
-    """
-
-    rank: int
-    tolerance_used: float
-    singular_values: np.ndarray = field(repr=False)
-
-
 def _rank_rule(s: np.ndarray, shape, tol: float, floor: float = 0.0):
     """The package rank rule: ``(rank, threshold)`` from the singular
     values ``s`` (largest first) of a nonempty matrix of the given shape."""
@@ -104,23 +89,14 @@ def _near_threshold(s: np.ndarray, thr: float) -> bool:
 
 
 def _svd_decision(M, tol: float, floor: float):
-    """Full SVD of a nonempty matrix with its rank decision."""
+    """Rank-revealing full SVD of a nonempty matrix: ``(U, s, V, rank,
+    threshold)`` with ``M = U diag(s) V^H`` and the rank and threshold of
+    :func:`_rank_rule`."""
     A = as_matrix(M, copy=False)
     if A.size == 0:
         raise ValueError("empty matrix")
     U, s, Vh = np.linalg.svd(A)
-    rank, thr = _rank_rule(s, A.shape, tol, floor)
-    return U, s, Vh.conj().T, RankDecision(rank, thr, s)
-
-
-def rank_revealing(M, tol: float = DEFAULT_TOL):
-    """Rank-revealing SVD of a nonempty matrix.
-
-    Returns ``(left_unitary, singular_values, right_unitary, decision)``
-    with ``M = left_unitary @ diag(s) @ right_unitary.conj().T`` and the
-    rank decided by the ``tol * max(m, n) * sigma_max`` threshold.
-    """
-    return _svd_decision(M, tol, 0.0)
+    return U, s, Vh.conj().T, *_rank_rule(s, A.shape, tol, floor)
 
 
 def matrix_rank(M, tol: float = DEFAULT_TOL, floor: float = 0.0) -> int:
@@ -136,55 +112,11 @@ def matrix_rank(M, tol: float = DEFAULT_TOL, floor: float = 0.0) -> int:
     return _rank_rule(s, A.shape, tol, floor)[0]
 
 
-def row_compress(M, tol: float = DEFAULT_TOL, floor: float = 0.0):
-    """Unitary U with ``U @ M`` having its first r rows of full row rank.
-
-    The remaining rows have norm below the rank threshold; ``r`` is the
-    numerical rank of ``M``, with the threshold floored at ``floor`` as in
-    :func:`matrix_rank`.
-    """
-    U, _, _, dec = _svd_decision(M, tol, floor)
-    return U.conj().T, dec.rank
-
-
 def col_compress(M, tol: float = DEFAULT_TOL, floor: float = 0.0):
     """Unitary V with ``M @ V = [M' | 0]``, ``M'`` of full column rank r.
 
     ``r`` is the numerical rank of ``M``, with the threshold floored at
     ``floor`` as in :func:`matrix_rank`.
     """
-    _, _, V, dec = _svd_decision(M, tol, floor)
-    return V, dec.rank
-
-
-def eig_pair(L0, L1, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Eigenvalues of the regular pencil ``lambda*L1 - L0``.
-
-    Delegates to the QZ-based solver; pairs with ``|beta| <= tol*(|alpha| +
-    |beta|)`` are classified as infinite and reported as ``inf + 0j``.
-    Regularity is the caller's responsibility.
-    """
-    import scipy.linalg
-
-    A0 = as_matrix(L0)
-    A1 = as_matrix(L1)
-    n = A0.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=complex)
-    alpha, beta = scipy.linalg.eig(A0, A1, right=False, homogeneous_eigvals=True)
-    out = np.empty(n, dtype=complex)
-    for i, (a, b) in enumerate(zip(alpha, beta)):
-        if abs(b) <= tol * (abs(a) + abs(b)):
-            out[i] = complex(np.inf, 0.0)
-        else:
-            out[i] = a / b
-    return out
-
-
-def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Haar-ish random unitary from the QR factor of a complex Gaussian."""
-    if n == 0:
-        return np.zeros((0, 0), dtype=complex)
-    Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    Q, R = np.linalg.qr(Z)
-    return Q * (np.diag(R) / np.abs(np.diag(R)))
+    _, _, V, rank, _ = _svd_decision(M, tol, floor)
+    return V, rank

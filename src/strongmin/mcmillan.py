@@ -44,8 +44,9 @@ class McMillanStructure:
 
     ``minimality`` (the input's ``MinimalityReport``, unless assumed),
     ``reduction`` (the ``ReductionRecord`` list, if one ran) and
-    ``ambiguous`` (set when either Kronecker report it was read from is
-    flagged ambiguous) are kept out of comparisons.
+    ``ambiguous`` (set when either Kronecker report it was read from, or
+    the minimality report of the input, is flagged ambiguous) are kept out
+    of comparisons.
     """
 
     normal_rank: int
@@ -85,11 +86,6 @@ def degree_sum_check(s: McMillanStructure) -> bool:
     return s.polar_degree == s.zero_degree + sum(s.right_minimal) + sum(
         s.left_minimal
     )
-
-
-def mcmillan_degree(s: McMillanStructure) -> int:
-    """McMillan degree (the total polar degree, infinity included)."""
-    return s.polar_degree
 
 
 def infinite_pole_pencil(q: SystemQuadruple) -> Pencil:
@@ -156,7 +152,7 @@ def rational_structure(
     S = system_pencil(q)
     rep_S = kronecker_structure(S, tol, seed)
     normal_rank = rep_S.normal_rank - q.d
-    ambiguous = rep_S.ambiguous
+    ambiguous = rep_S.ambiguous or (report is not None and report.ambiguous)
 
     finite = {}
     match_tol = 1e-8

@@ -5,13 +5,15 @@ pencil [A(lambda)  -B(lambda)] has no finite or infinite eigenvalues and
 strongly E-observable when its dual [A(lambda)^T  -C(lambda)^T] has none;
 it is strongly minimal when both hold.  The staircase form of each test
 pencil is computed once per quadruple and shared by the test, the
-reduction pass of its side and the reduction's final check.  The
+reduction pass of its side and the reduction's final check; its
+eigenvalues are classified once
+(:func:`~strongmin.staircase._classified_eigenvalues`), and a close rank
+decision of its staircase makes the minimality report ambiguous.  The
 reduction deflates the offending eigenvalues with unitary transformations
 only, changing the transfer function by constant invertible factors.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -22,15 +24,13 @@ from .pencil import (
     Pencil,
     SystemQuadruple,
     constant_pencil,
-    generalized_eigenvalues,
     split_system_pencil,
     system_pencil,
     validate_regular,
 )
 from .staircase import (
-    StaircaseError,
     StaircaseForm,
-    _cluster_means,
+    _classified_eigenvalues,
     infinity_mcmillan_indices,
     kronecker_structure,
     separate_regular_right,
@@ -59,10 +59,15 @@ class ReductionRecord:
 
 @dataclass
 class MinimalityReport:
+    """Strong-minimality verdict, the offending eigenvalues by side, and
+    ``ambiguous`` (kept out of comparisons): whether a rank decision of
+    either test-pencil staircase was a close call."""
+
     e_controllable: bool
     e_observable: bool
     strongly_minimal: bool
     offending_eigenvalues: list
+    ambiguous: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         assert self.strongly_minimal == (self.e_controllable and self.e_observable)
@@ -72,40 +77,6 @@ def controllability_pencil(q: SystemQuadruple) -> Pencil:
     """The row pencil [A(lambda)  -B(lambda)]: the first d rows of S."""
     S = system_pencil(q)
     return Pencil(S.L0[: q.d], S.L1[: q.d])
-
-
-def _classified_eigenvalues(X: Pencil, tol: float, seed: int) -> np.ndarray:
-    """Eigenvalues of a small regular pencil with structural infinity
-    classification.
-
-    Plain QZ splits a defective block at infinity into a cloud of huge
-    finite values that can also swallow nearby genuine eigenvalues, so the
-    structure at infinity is deflated first (unitarily) and QZ runs on the
-    finite block alone, whose clusters are reported by their means
-    (:func:`~strongmin.staircase._cluster_means`).  When the deflation
-    fails, plain QZ on the whole pencil is used instead, with a
-    ``RuntimeWarning``.
-    """
-    from .staircase import split_infinite
-
-    if X.rows == 0:
-        return np.zeros(0, dtype=complex)
-    try:
-        _, _, transformed, n_inf, _ = split_infinite(X, tol)
-    except StaircaseError as exc:
-        warnings.warn(
-            f"deflation at infinity failed ({exc}); using plain QZ on the "
-            f"{X.rows} x {X.rows} pencil",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        n_inf = 0
-        finite = generalized_eigenvalues(X, tol, seed)
-    else:
-        k = X.rows - n_inf
-        finite = _cluster_means(Pencil(transformed.L0[:k, :k], transformed.L1[:k, :k]), tol)
-    vals = list(finite) + [complex(np.inf, 0.0)] * n_inf
-    return np.asarray(vals, dtype=complex)
 
 
 def _form_eigenvalues(sf: StaircaseForm, tol: float, seed: int) -> np.ndarray:
@@ -148,7 +119,11 @@ def _minimality_report(forms: dict, tol: float, seed: int) -> MinimalityReport:
     ]
     e_controllable, e_observable = (forms[side].d_reg == 0 for side in _SIDES)
     return MinimalityReport(
-        e_controllable, e_observable, e_controllable and e_observable, offending
+        e_controllable,
+        e_observable,
+        e_controllable and e_observable,
+        offending,
+        any(forms[side].close for side in _SIDES),
     )
 
 

@@ -22,7 +22,6 @@ from .linalg import (
     _lapack,
     _rank_rule,
     as_matrix,
-    eig_pair,
     matrix_rank,
 )
 
@@ -491,10 +490,16 @@ def generalized_eigenvalues(
 ) -> np.ndarray:
     """Eigenvalues (finite and infinite) of a square regular pencil.
 
-    Regularity is verified by :func:`normal_rank`; infinite eigenvalues are
-    reported as ``inf + 0j``, one per defect of the leading coefficient in
-    the generalized Schur form.
+    Regularity is verified by :func:`normal_rank`.  The eigenvalues are the
+    diagonal ratios ``alpha / beta`` of one QZ, the triangular pair of
+    :func:`~strongmin.staircase._triangular_pair`; a pair with ``|beta| <=
+    tol * (|alpha| + |beta|)`` is infinite and reported as ``inf + 0j``.
+    Nothing is deflated or averaged: a defective eigenvalue comes out split
+    by the rounding.
     """
+    # Imported here: strongmin.staircase imports this module.
+    from .staircase import _pair_eigenvalues, _triangular_pair
+
     m, n = P.shape
     if m != n:
         raise SingularPencilError("singular pencil: not square")
@@ -502,4 +507,4 @@ def generalized_eigenvalues(
         return np.zeros(0, dtype=complex)
     if normal_rank(P, tol, seed) < n:
         raise SingularPencilError("singular pencil")
-    return eig_pair(P.L0, P.L1, tol)
+    return _pair_eigenvalues(*_triangular_pair(P), tol)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -34,17 +34,36 @@ class ScalingDivergence(RuntimeError):
 
 
 @dataclass
-class BalanceProblem:
-    """Nonnegative balancing problem description (kept for re-evaluation)."""
+class _Balanced:
+    """The nonnegative matrix a balancing was computed for: ``M`` itself
+    (approach 1), or the bordered matrix of :func:`build_M_alpha` when
+    ``bordered`` (approach 2)."""
 
-    M: np.ndarray
-    mode: str  # "approach1" | "approach2"
-    c_left: float = 1.0
-    c_right: float = 1.0
-    alpha: float = 1.0
-    c: float = 1.0
-    tol: float = 1e-10
-    max_iterations: int = 0
+    matrix: np.ndarray
+    bordered: bool
+
+    def evaluate(self, dl2, dr2) -> dict:
+        """The achieved constants and the residual of the squared scalings
+        ``dl2``, ``dr2``, as :class:`ScalingResult` fields.
+
+        The scaled matrix is ``D_left^2 M D_right^2``, or ``D^2 M_alpha
+        D^2`` with ``D^2 = diag(dl2, dr2)`` when bordered.  Its mean row
+        and column sums are ``gamma_left`` and ``gamma_right``; a bordered
+        matrix has one constant, ``gamma``, the mean row sum.  The residual
+        is the largest deviation of a row or column sum from its constant,
+        relative to that constant.
+        """
+        if self.bordered:
+            d_sq = np.concatenate([dl2, dr2])
+            scaled = (d_sq[:, None] * self.matrix) * d_sq[None, :]
+            gamma = float(np.mean(scaled.sum(axis=1)))
+            residual = _row_col_deviation(scaled, gamma, gamma)
+            return dict(gamma_left=None, gamma_right=None, gamma=gamma, residual=residual)
+        scaled = (dl2[:, None] * self.matrix) * dr2[None, :]
+        gl = float(np.mean(scaled.sum(axis=1)))
+        gr = float(np.mean(scaled.sum(axis=0)))
+        residual = _row_col_deviation(scaled, gl, gr)
+        return dict(gamma_left=gl, gamma_right=gr, gamma=None, residual=residual)
 
 
 @dataclass
@@ -53,7 +72,9 @@ class ScalingResult:
 
     ``d_left`` and ``d_right`` scale the pencil coefficients directly
     (``A~ = D_left A D_right``); the row/column constants refer to the
-    squared scalings acting on the nonnegative matrix ``M``.
+    squared scalings acting on the nonnegative matrix ``M``.  ``problem``
+    records the matrix that was balanced, on which :func:`quantize_pow2`
+    evaluates its rounded scalings.
     """
 
     d_left: np.ndarray
@@ -65,7 +86,7 @@ class ScalingResult:
     iterations: int
     residual: float
     converged: bool
-    problem: BalanceProblem = field(repr=False, default=None)
+    problem: _Balanced = field(repr=False, default=None)
     objective_history: list = field(repr=False, default_factory=list)
 
 
@@ -276,25 +297,16 @@ def scale_approach1(
             "diverging scalings: M lacks total support; use approach 2"
         )
 
-    M2 = (dl2[:, None] * M) * dr2[None, :]
-    gl = float(np.mean(M2.sum(axis=1)))
-    gr = float(np.mean(M2.sum(axis=0)))
-    problem = BalanceProblem(
-        M=M, mode="approach1", c_left=c_left, c_right=c_right,
-        tol=tol, max_iterations=max_iter,
-    )
+    problem = _Balanced(M, bordered=False)
     return ScalingResult(
         d_left=np.sqrt(dl2),
         d_right=np.sqrt(dr2),
         d_lambda=1.0,
-        gamma_left=gl,
-        gamma_right=gr,
-        gamma=None,
         iterations=it,
-        residual=_row_col_deviation(M2, gl, gr),
         converged=converged,
         problem=problem,
         objective_history=history,
+        **problem.evaluate(dl2, dr2),
     )
 
 
@@ -337,31 +349,15 @@ def scale_approach2(
     d_sq, _, it, converged = sinkhorn_knopp(S, tol=tol, max_iter=max_iter, x0=x0)
     k_det = float(np.prod(d_sq))
     d_sq = d_sq * (c / k_det) ** (1.0 / (m + n))
-    dl2, dr2 = d_sq[:m], d_sq[m:]
-
-    scaled = (d_sq[:, None] * S) * d_sq[None, :]
-    gamma = float(np.mean(scaled.sum(axis=1)))
-    residual = float(
-        max(
-            np.max(np.abs(scaled.sum(axis=1) - gamma)),
-            np.max(np.abs(scaled.sum(axis=0) - gamma)),
-        )
-        / max(gamma, 1e-300)
-    )
-    problem = BalanceProblem(
-        M=M, mode="approach2", alpha=alpha, c=c, tol=tol, max_iterations=max_iter
-    )
+    problem = _Balanced(S, bordered=True)
     return ScalingResult(
-        d_left=np.sqrt(dl2),
-        d_right=np.sqrt(dr2),
+        d_left=np.sqrt(d_sq[:m]),
+        d_right=np.sqrt(d_sq[m:]),
         d_lambda=1.0,
-        gamma_left=None,
-        gamma_right=None,
-        gamma=gamma,
         iterations=it,
-        residual=residual,
         converged=converged,
         problem=problem,
+        **problem.evaluate(d_sq[:m], d_sq[m:]),
     )
 
 
@@ -378,44 +374,17 @@ def quantize_pow2(result: ScalingResult) -> ScalingResult:
     """
     d_left = np.array([_pow2(v) for v in result.d_left])
     d_right = np.array([_pow2(v) for v in result.d_right])
-    d_lambda = _pow2(result.d_lambda)
-    prob = result.problem
-    dl2, dr2 = d_left**2, d_right**2
-    if prob is None:
-        gl = gr = gamma = None
-        residual = float("nan")
-    elif prob.mode == "approach1":
-        M2 = (dl2[:, None] * prob.M) * dr2[None, :]
-        gl = float(np.mean(M2.sum(axis=1)))
-        gr = float(np.mean(M2.sum(axis=0)))
-        gamma = None
-        residual = _row_col_deviation(M2, gl, gr)
+    if result.problem is None:
+        fields = dict(gamma_left=None, gamma_right=None, gamma=None, residual=math.nan)
     else:
-        m, n = prob.M.shape
-        S = build_M_alpha(prob.M, prob.alpha, m, n)
-        d_sq = np.concatenate([dl2, dr2])
-        scaled = (d_sq[:, None] * S) * d_sq[None, :]
-        gamma = float(np.mean(scaled.sum(axis=1)))
-        gl = gr = None
-        residual = float(
-            max(
-                np.max(np.abs(scaled.sum(axis=1) - gamma)),
-                np.max(np.abs(scaled.sum(axis=0) - gamma)),
-            )
-            / max(gamma, 1e-300)
-        )
-    return ScalingResult(
+        fields = result.problem.evaluate(d_left**2, d_right**2)
+    return replace(
+        result,
         d_left=d_left,
         d_right=d_right,
-        d_lambda=d_lambda,
-        gamma_left=gl,
-        gamma_right=gr,
-        gamma=gamma,
-        iterations=result.iterations,
-        residual=residual,
-        converged=result.converged,
-        problem=prob,
+        d_lambda=_pow2(result.d_lambda),
         objective_history=list(result.objective_history),
+        **fields,
     )
 
 

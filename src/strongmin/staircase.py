@@ -40,9 +40,17 @@ staircase of that small block in the variable that sends the cluster's
 point to infinity.  A decision within a factor 10 of its other outcome
 flags the report as ambiguous; a cluster that such a decision leaves
 undecided is not reported.
+
+That QZ (:func:`_triangular_pair`) is the package's only one.  It also
+gives the eigenvalues of small regular pencils that
+:mod:`strongmin.minreal` reports (:func:`_classified_eigenvalues`: the
+structure at infinity is deflated first, and only then are clusters
+averaged) and the plain QZ eigenvalues of
+:func:`~strongmin.pencil.generalized_eigenvalues`.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,6 +63,7 @@ from .pencil import (
     _choose_rotation,
     choose_rotation,
     default_lambda_scale,
+    generalized_eigenvalues,
     lambda_scale,
     mobius_rotate,
     normal_rank,
@@ -73,10 +82,11 @@ class StaircaseForm:
 
     ``X`` is ``d_reg x d_reg`` regular and carries the eigenvalue multiset of
     the input; ``S`` has full row rank for every lambda including infinity.
-    ``block_sizes`` records the staircase steps as (columns, rows) peeled.
-    ``eigenvalues`` holds the classified eigenvalues of ``X`` once a reader
-    has computed them (``strongmin.minreal``), so they are computed once
-    per form.
+    ``block_sizes`` records the staircase steps as (columns, rows) peeled,
+    and ``close`` whether a rank decision of a step was a close call, a
+    singular value within a factor 10 of its threshold.  ``eigenvalues``
+    holds the classified eigenvalues of ``X`` once a reader has computed
+    them (``strongmin.minreal``), so they are computed once per form.
     """
 
     U: np.ndarray
@@ -84,6 +94,7 @@ class StaircaseForm:
     transformed: Pencil
     d_reg: int
     block_sizes: list = field(default_factory=list)
+    close: bool = False
     eigenvalues: np.ndarray = field(default=None, repr=False, compare=False)
 
     @property
@@ -108,8 +119,8 @@ def _svd_kernel(B, mw, nw, tol, floor):
     """Kernel basis of the window ``M = B[:mw, :nw]``, its rank from a full
     SVD at the package rule, and whether that decision was a close call
     (:func:`_near_threshold`)."""
-    _, s, V, dec = _svd_decision(B[:mw, :nw], tol, floor)
-    return V[:, dec.rank :], dec.rank, _near_threshold(s, dec.tolerance_used)
+    _, s, V, rank, thr = _svd_decision(B[:mw, :nw], tol, floor)
+    return V[:, rank:], rank, _near_threshold(s, thr)
 
 
 def _qr_kernel(B, mw, nw, tol, floor):
@@ -331,7 +342,8 @@ def separate_regular_right(
     every window stays a row block of a unitary and only the first window
     is factored (:func:`_moved_row_kernel`).  When the certificate fails,
     each window takes the SVD rank decision, and a window that lost full
-    row rank raises.
+    row rank raises.  The form's ``close`` records whether a rank decision
+    of the staircase was a close call.
     """
     def full_row_rank(mw, rB, nu, s_rank, close):
         # The rotation gave the leading coefficient full row rank, and every
@@ -348,10 +360,11 @@ def separate_regular_right(
         raise StaircaseError("normal rank deficient rows") from None
     R = mobius_rotate(P, rot)
     kernel = _certified_kernel(R, rot.margin, tol)
-    U, W, T, blocks, mw, nw = _staircase(R, tol, full_row_rank, kernel)
+    notes = []
+    U, W, T, blocks, mw, nw = _staircase(R, tol, _noting_close(full_row_rank, notes), kernel)
     if mw != nw:
         raise StaircaseError("inconsistent deflation count")
-    return StaircaseForm(U, W, mobius_rotate(T, rot.inverse()), mw, blocks)
+    return StaircaseForm(U, W, mobius_rotate(T, rot.inverse()), mw, blocks, any(notes))
 
 
 def split_infinite(P: Pencil, tol: float = DEFAULT_TOL):
@@ -777,31 +790,61 @@ def _eigen_structure(X: Pencil, mu_inf, tol: float, floor: float):
     return points, close
 
 
-def _cluster_means(X: Pencil, tol: float) -> np.ndarray:
-    """Eigenvalues of a square regular pencil ``X``, each cluster of
-    :func:`_eigen_structure` given by its mean, repeated by its size.
+def _pair_eigenvalues(S, T, tol: float) -> np.ndarray:
+    """Eigenvalues ``alpha / beta`` of the upper triangular pair ``(S, T)``,
+    ``alpha`` and ``beta`` their diagonals; an eigenvalue with ``|beta| <=
+    tol * (|alpha| + |beta|)`` is infinite, ``inf + 0j``."""
+    alpha, beta = np.diagonal(S), np.diagonal(T)
+    out = np.full(alpha.size, complex(np.inf, 0.0))
+    finite = np.abs(beta) > tol * (np.abs(alpha) + np.abs(beta))
+    out[finite] = alpha[finite] / beta[finite]
+    return out
 
-    The members of a rounding-split multiple eigenvalue spread by about the
-    square root (or higher root) of the rounding, while their mean moves
-    with the rounding itself.  Clusters are the components of the pairs of
-    perturbation discs (:func:`_eigen_discs`, floored at the staircase
-    floor of ``X``) of ratio at most ``_MERGE_RATIO``.  An eigenvalue with
-    ``|beta| <= tol * (|alpha| + |beta|)`` in the triangular pair is
-    infinite, as in :func:`~strongmin.linalg.eig_pair`, and joins no
-    cluster.
+
+def _classified_eigenvalues(X: Pencil, tol: float, seed: int) -> np.ndarray:
+    """Eigenvalues of a small regular pencil ``X``, the structure at
+    infinity deflated first and each cluster of finite eigenvalues given by
+    its mean, repeated by its size.
+
+    Plain QZ splits a defective block at infinity into a cloud of huge
+    finite values that can also swallow nearby genuine eigenvalues, so the
+    structure at infinity is deflated first (unitarily, by
+    :func:`split_infinite`) and QZ runs on the finite block alone.  Only
+    then are clusters averaged: the members of a rounding-split multiple
+    eigenvalue spread by about the square root (or higher root) of the
+    rounding, while their mean moves with the rounding itself.  Clusters
+    are the components of the pairs of perturbation discs
+    (:func:`_eigen_discs`, floored at the staircase floor of the finite
+    block) of ratio at most ``_MERGE_RATIO``; an eigenvalue the ``beta``
+    rule of :func:`_pair_eigenvalues` makes infinite joins no cluster.
+    When the deflation fails, plain QZ on the whole pencil
+    (:func:`~strongmin.pencil.generalized_eigenvalues`) is used instead,
+    with a ``RuntimeWarning`` and no averaging.
     """
-    k = X.rows
-    out = np.full(k, complex(np.inf, 0.0))
+    if X.rows == 0:
+        return np.zeros(0, dtype=complex)
+    try:
+        _, _, transformed, n_inf, _ = split_infinite(X, tol)
+    except StaircaseError as exc:
+        warnings.warn(
+            f"deflation at infinity failed ({exc}); using plain QZ on the "
+            f"{X.rows} x {X.rows} pencil",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        return generalized_eigenvalues(X, tol, seed)
+    k = X.rows - n_inf
+    out = np.full(X.rows, complex(np.inf, 0.0))
     if k == 0:
         return out
-    S, T = _triangular_pair(X)
-    alpha, beta = np.diagonal(S), np.diagonal(T)
-    finite = np.flatnonzero(np.abs(beta) > tol * (np.abs(alpha) + np.abs(beta)))
-    out[finite] = alpha[finite] / beta[finite]
+    F = Pencil(transformed.L0[:k, :k], transformed.L1[:k, :k])
+    S, T = _triangular_pair(F)
+    out[:k] = _pair_eigenvalues(S, T, tol)
+    finite = np.flatnonzero(np.isfinite(out))
     if finite.size < 2:
         return out
     with np.errstate(divide="ignore", invalid="ignore"):
-        w, radii = _eigen_discs(S, T, _staircase_floor(X, tol))
+        w, radii = _eigen_discs(S, T, _staircase_floor(F, tol))
     w, radii = w[finite], radii[finite]
     ratio = np.abs(w[:, None] - w[None, :]) / (radii[:, None] + radii[None, :])
     for C in _components(ratio <= _MERGE_RATIO):

@@ -10,12 +10,13 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from corpus import exact_instance, match_points
+from helpers import random_unitary
 from strongmin.exact import full_structure_exact
 from strongmin.gallery import (
     example_polynomial_system,
     example_rational_system,
 )
-from strongmin.linalg import matrix_rank, random_unitary
+from strongmin.linalg import matrix_rank
 from strongmin.mcmillan import degree_sum_check, rational_structure
 from strongmin.minreal import (
     is_strongly_irreducible,

@@ -309,6 +309,20 @@ def test_descriptor_degree_right_or_flagged(tmp_path, capsys, seed):
         assert doc["structure"]["mcmillan_degree"] == d - kk
 
 
+def test_descriptor_test_pencil_close_call_warns(tmp_path, capsys):
+    # Descriptor seed 13 is answered with a wrong degree and exit 0 (the
+    # xfail above), but the staircase of its controllability test pencil
+    # makes a close rank decision: the minimality report carries it, and
+    # the CLI prints its warning.
+    from descriptor import descriptor_system
+    from strongmin.minreal import is_strongly_minimal
+
+    q, _, _ = descriptor_system(13)
+    assert is_strongly_minimal(q).ambiguous
+    assert main(["structure", write_system(tmp_path, q)]) == 0
+    assert capsys.readouterr().err.startswith("warning:")
+
+
 class TestReduceCommand:
     def test_minimal_input_sizes_unchanged(self, tmp_path, capsys):
         q = random_state_space(2, d=3, m=2, n=2)

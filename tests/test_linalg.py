@@ -1,36 +1,37 @@
 import numpy as np
 import pytest
 
-from strongmin.linalg import (
-    as_matrix,
-    col_compress,
-    eig_pair,
-    matrix_rank,
-    rank_revealing,
-    row_compress,
-)
+from helpers import row_compress
+from strongmin.linalg import DEFAULT_TOL, _svd_decision, as_matrix, col_compress, matrix_rank
+from strongmin.pencil import Pencil
+from strongmin.staircase import _pair_eigenvalues, _triangular_pair
 
 EPS = np.finfo(float).eps
 
 
+def rank_revealing(M, tol=DEFAULT_TOL):
+    """The rank-revealing SVD of the staircases, unfloored."""
+    return _svd_decision(M, tol, 0.0)
+
+
 def test_rank_revealing_identity():
-    U, s, V, dec = rank_revealing(np.eye(3), tol=1e-12)
-    assert dec.rank == 3
+    U, s, V, rank, _ = rank_revealing(np.eye(3), tol=1e-12)
+    assert rank == 3
     assert np.allclose(s, [1, 1, 1])
     M = U @ np.diag(s) @ V.conj().T
     assert np.allclose(M, np.eye(3), atol=50 * EPS)
 
 
 def test_rank_revealing_zero():
-    _, _, _, dec = rank_revealing(np.zeros((2, 2)))
-    assert dec.rank == 0
+    _, _, _, rank, _ = rank_revealing(np.zeros((2, 2)))
+    assert rank == 0
 
 
 def test_rank_revealing_threshold_arithmetic():
     # diag(1, 1e-16) at tol 1e-12: threshold is 1e-12 * 2 * 1 > 1e-16.
-    _, s, _, dec = rank_revealing(np.diag([1.0, 1e-16]), tol=1e-12)
-    assert dec.rank == 1
-    assert dec.tolerance_used == pytest.approx(2e-12)
+    _, s, _, rank, threshold = rank_revealing(np.diag([1.0, 1e-16]), tol=1e-12)
+    assert rank == 1
+    assert threshold == pytest.approx(2e-12)
 
 
 def test_rank_revealing_empty_matrix_errors():
@@ -107,22 +108,10 @@ def test_compress_reconstruction_and_unitarity(seed):
 
 
 def test_eig_pair_diagonal():
-    vals = eig_pair(np.diag([1.0, 2.0]), np.eye(2))
+    # The eigenvalues of a matrix pair by one QZ, with no regularity check.
+    S, T = _triangular_pair(Pencil(np.diag([1.0, 2.0]), np.eye(2)))
+    vals = _pair_eigenvalues(S, T, DEFAULT_TOL)
     assert sorted(v.real for v in vals) == pytest.approx([1.0, 2.0])
-
-
-def test_eig_pair_one_infinite():
-    vals = eig_pair(np.eye(2), np.diag([1.0, 0.0]))
-    finite = [v for v in vals if np.isfinite(v)]
-    infinite = [v for v in vals if np.isinf(v)]
-    assert len(finite) == 1 and len(infinite) == 1
-    assert finite[0] == pytest.approx(1.0)
-
-
-def test_eig_pair_nilpotent_leading():
-    # lambda*[[0,1],[0,0]] - I is regular with both eigenvalues infinite.
-    vals = eig_pair(np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
-    assert all(np.isinf(v) for v in vals)
 
 
 def test_matrix_rank_empty():

@@ -17,7 +17,6 @@ from strongmin.mcmillan import (
     NotStronglyMinimal,
     degree_sum_check,
     infinite_pole_pencil,
-    mcmillan_degree,
     rational_structure,
 )
 from strongmin.minreal import is_strongly_minimal, strongly_minimal_reduce
@@ -141,7 +140,7 @@ class TestRationalStructure:
         for p, e in zip(poles, eig):
             assert abs(p - e) < 1e-8 * max(1.0, abs(e))
         assert degree_sum_check(s)
-        assert mcmillan_degree(s) == 3
+        assert s.mcmillan_degree == 3
 
 
 class TestDegreeSum:

@@ -558,13 +558,57 @@ class TestGeneralizedEigenvalues:
         vals = generalized_eigenvalues(P)
         assert sum(np.isinf(v) for v in vals) == 1
 
+    def test_one_infinite(self):
+        vals = generalized_eigenvalues(Pencil(np.eye(2), np.diag([1.0, 0.0])))
+        finite = [v for v in vals if np.isfinite(v)]
+        infinite = [v for v in vals if np.isinf(v)]
+        assert len(finite) == 1 and len(infinite) == 1
+        assert finite[0] == pytest.approx(1.0)
+        assert infinite[0] == complex(np.inf, 0.0)
+
+    def test_nilpotent_leading(self):
+        # lambda*[[0,1],[0,0]] - I is regular with both eigenvalues infinite.
+        vals = generalized_eigenvalues(Pencil(np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])))
+        assert all(np.isinf(v) for v in vals)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("n", [5, 19, 20, 40])
+    def test_matches_scipy_eigvals(self, field, n):
+        # One QZ of either field on both sides of the real-QZ crossover
+        # (20 rows), against scipy's QZ with the same beta rule.  L1 has
+        # rank n - 2, so two eigenvalues are infinite.
+        from scipy.linalg import eigvals
+        from scipy.optimize import linear_sum_assignment
+
+        rng = np.random.default_rng([n, field == "complex"])
+
+        def draw(*shape):
+            M = rng.standard_normal(shape)
+            return M + 1j * rng.standard_normal(shape) if field == "complex" else M
+
+        L0 = draw(n, n)
+        L1 = draw(n, n - 2) @ draw(n - 2, n)
+        tol = 1e-12
+        alpha, beta = eigvals(L0, L1, homogeneous_eigvals=True)
+        finite = np.abs(beta) > tol * (np.abs(alpha) + np.abs(beta))
+        want = alpha[finite] / beta[finite]
+
+        got = generalized_eigenvalues(Pencil(L0, L1), tol)
+        assert got.dtype == complex and got.shape == (n,)
+        assert np.all(got[np.isinf(got)] == complex(np.inf, 0.0))
+        got = got[np.isfinite(got)]
+        assert got.size == want.size == n - 2
+        cost = np.abs(got[:, None] - want[None, :]) / np.maximum(1.0, np.abs(want))
+        rows, cols = linear_sum_assignment(cost)
+        assert cost[rows, cols].max() < 1e-9
+
     def test_singular_pencil_raises(self):
         P = Pencil(np.zeros((2, 2)), np.zeros((2, 2)))
         with pytest.raises(SingularPencilError):
             generalized_eigenvalues(P)
 
     def test_unitary_equivalence_invariance(self):
-        from strongmin.linalg import random_unitary
+        from helpers import random_unitary
         from scipy.optimize import linear_sum_assignment
 
         rng = np.random.default_rng(5)

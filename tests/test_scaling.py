@@ -381,6 +381,30 @@ class TestQuantizePow2:
         assert _pow2(3.0) == 4.0
         assert _pow2(0.7) == 0.5
 
+    @pytest.mark.parametrize("approach", [1, 2])
+    def test_reevaluated_on_the_balanced_matrix(self, approach):
+        # The constants and residual of the rounded scalings, recomputed
+        # here from A and B: row and column sums of D_l^2 M D_r^2, or of
+        # D^2 M_alpha D^2 against the one constant gamma.
+        rng = np.random.default_rng(6)
+        A, B = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
+        if approach == 1:
+            q = quantize_pow2(scale_approach1(A, B))
+            X = ((q.d_left**2)[:, None] * build_M(A, B)) * (q.d_right**2)[None, :]
+            gl, gr = X.sum(axis=1).mean(), X.sum(axis=0).mean()
+            want = (gl, gr, None)
+        else:
+            q = quantize_pow2(scale_approach2(A, B, alpha=0.5))
+            d2 = np.concatenate([q.d_left, q.d_right]) ** 2
+            X = (d2[:, None] * build_M_alpha(build_M(A, B), 0.5, 3, 4)) * d2[None, :]
+            gl = gr = X.sum(axis=1).mean()
+            want = (None, None, gl)
+        assert (q.gamma_left, q.gamma_right, q.gamma) == want
+        residual = max(
+            np.abs(X.sum(axis=1) - gl).max() / gl, np.abs(X.sum(axis=0) - gr).max() / gr
+        )
+        assert q.residual == residual > 0
+
     def test_factor_within_sqrt2(self):
         rng = np.random.default_rng(2)
         A = rng.standard_normal((3, 4))

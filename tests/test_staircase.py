@@ -3,14 +3,8 @@ import pytest
 from scipy.linalg import lapack
 from scipy.optimize import linear_sum_assignment
 
-from strongmin.linalg import (
-    DEFAULT_TOL,
-    _rank_rule,
-    col_compress,
-    eig_pair,
-    random_unitary,
-    row_compress,
-)
+from helpers import random_unitary, row_compress
+from strongmin.linalg import DEFAULT_TOL, _rank_rule, col_compress
 from strongmin.pencil import (
     Pencil,
     Rotation,
@@ -21,6 +15,7 @@ from strongmin.pencil import (
 from strongmin.staircase import (
     StaircaseError,
     StaircaseForm,
+    _classified_eigenvalues,
     infinity_mcmillan_indices,
     kronecker_structure,
     separate_regular_right,
@@ -161,6 +156,17 @@ class TestSeparateRegularRight:
         self.check_form(P, sf)
         assert sf.right_minimal_indices() == (1, 2)
 
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_classified_eigenvalues_of_random_mixture(self, seed):
+        # Plain QZ splits the infinite pair of these seeds into huge finite
+        # values; the classification deflates it before it averages the
+        # rounding-split double eigenvalue 1.5, so neither swallows the other.
+        base = direct_sum(L_block(1), L_block(2), jordan_block(1.5, 2), inf_block(2))
+        sf = separate_regular_right(unitary_equivalent(base, seed))
+        vals = _classified_eigenvalues(sf.regular_part, DEFAULT_TOL, seed)
+        assert np.isinf(vals).sum() == 2
+        assert vals[np.isfinite(vals)] == pytest.approx([1.5, 1.5], abs=1e-9)
+
 
 def reference_separate_regular_right(P, tol=DEFAULT_TOL, seed=0):
     """separate_regular_right as it was with a full SVD of every L1 window
@@ -293,7 +299,7 @@ def assert_equivalent_forms(P, sf, ref, tol=DEFAULT_TOL, jordan=None):
     assert leak < tol * max(m, n) * scale
     X, Xr = sf.regular_part, ref.regular_part
     assert_same_regular_eigenvalues(
-        eig_pair(X.L0, X.L1), eig_pair(Xr.L0, Xr.L1), jordan
+        generalized_eigenvalues(X), generalized_eigenvalues(Xr), jordan
     )
 
 
