@@ -11,7 +11,10 @@ Every rank decision made by this package flows through the helpers in this
 module, and all of them apply the one rule in ``_rank_rule``: a singular
 value counts toward the rank when it exceeds
 
-    max(tol * max(m, n) * sigma_max, floor).
+    max(tol * max(m, n) * sigma_max, floor),
+
+and the decision is a close call when a singular value lies within a
+factor 10 of that threshold.
 
 The default relative tolerance is ``DEFAULT_TOL = 1e-12`` and every public
 operation accepts an override; ``floor`` (default 0) lets the staircases
@@ -75,23 +78,20 @@ def as_matrix(M, copy: bool = True, dtype=None) -> np.ndarray:
 
 
 def _rank_rule(s: np.ndarray, shape, tol: float, floor: float = 0.0):
-    """The package rank rule: ``(rank, threshold)`` from the singular
-    values ``s`` (largest first) of a nonempty matrix of the given shape."""
+    """The package rank rule: ``(rank, threshold, close)`` from the
+    singular values ``s`` (largest first) of a nonempty matrix of the given
+    shape.  ``close`` is whether a singular value lies within a factor 10
+    of the threshold, above or below: a tenfold change of tolerance would
+    then change the rank decision, a close call."""
     thr = max(tol * max(shape) * float(s[0]), floor)
-    return int(np.count_nonzero(s > thr)), thr
-
-
-def _near_threshold(s: np.ndarray, thr: float) -> bool:
-    """Whether a singular value lies within a factor 10 of the rank
-    threshold ``thr``, above or below: a tenfold change of tolerance would
-    then change the rank decision."""
-    return bool(np.any((s > thr / 10.0) & (s <= 10.0 * thr)))
+    close = bool(np.any((s > thr / 10.0) & (s <= 10.0 * thr)))
+    return int(np.count_nonzero(s > thr)), thr, close
 
 
 def _svd_decision(M, tol: float, floor: float):
     """Rank-revealing full SVD of a nonempty matrix: ``(U, s, V, rank,
-    threshold)`` with ``M = U diag(s) V^H`` and the rank and threshold of
-    :func:`_rank_rule`."""
+    threshold, close)`` with ``M = U diag(s) V^H`` and the rank, threshold
+    and close call of :func:`_rank_rule`."""
     A = as_matrix(M, copy=False)
     if A.size == 0:
         raise ValueError("empty matrix")
@@ -118,5 +118,5 @@ def col_compress(M, tol: float = DEFAULT_TOL, floor: float = 0.0):
     ``r`` is the numerical rank of ``M``, with the threshold floored at
     ``floor`` as in :func:`matrix_rank`.
     """
-    _, _, V, rank, _ = _svd_decision(M, tol, floor)
+    _, _, V, rank, *_ = _svd_decision(M, tol, floor)
     return V, rank

@@ -361,8 +361,10 @@ def scale_approach2(
     )
 
 
-def _pow2(x: float) -> float:
-    return float(2.0 ** round(math.log2(x)))
+def _pow2(x):
+    """The power of 2 nearest to each entry of ``x`` (positive) on a log
+    scale, ties to the even exponent; a scalar for a scalar."""
+    return np.ldexp(1.0, np.rint(np.log2(x)).astype(int))
 
 
 def quantize_pow2(result: ScalingResult) -> ScalingResult:
@@ -372,8 +374,7 @@ def quantize_pow2(result: ScalingResult) -> ScalingResult:
     entry moves by a factor in [1/sqrt(2), sqrt(2)].  The residual and the
     achieved constants are re-evaluated on the quantized scalings.
     """
-    d_left = np.array([_pow2(v) for v in result.d_left])
-    d_right = np.array([_pow2(v) for v in result.d_right])
+    d_left, d_right = _pow2(result.d_left), _pow2(result.d_right)
     if result.problem is None:
         fields = dict(gamma_left=None, gamma_right=None, gamma=None, residual=math.nan)
     else:
@@ -382,7 +383,7 @@ def quantize_pow2(result: ScalingResult) -> ScalingResult:
         result,
         d_left=d_left,
         d_right=d_right,
-        d_lambda=_pow2(result.d_lambda),
+        d_lambda=float(_pow2(result.d_lambda)),
         objective_history=list(result.objective_history),
         **fields,
     )

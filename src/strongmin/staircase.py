@@ -32,12 +32,12 @@ staircase loop, on the rotated pencil and then on the transpose of what is
 left, peels the right and left minimal indices and leaves exactly the
 regular part.  One QZ of the regular part gives its eigenvalues (for real
 data the real QZ, its 2 x 2 blocks then made triangular by complex 2 x 2
-unitaries), and back substitution on the triangular factors each one's
-perturbation disc.  A lone eigenvalue, whose disc meets no other, is simple
-and takes no factorization; a cluster of eigenvalues is moved to the
-leading block of the Schur form and its block sizes are read off the
-staircase of that small block in the variable that sends the cluster's
-point to infinity.  A decision within a factor 10 of its other outcome
+unitaries), and one ``?ggev`` eigenvector call on the triangular factors
+the perturbation discs of them all.  A lone eigenvalue, whose disc meets
+no other, is simple and takes no factorization; a cluster of eigenvalues
+is moved to the leading block of the Schur form and its block sizes are
+read off the staircase of that small block in the variable that sends the
+cluster's point to infinity.  A decision within a factor 10 of its other outcome
 flags the report as ambiguous; a cluster that such a decision leaves
 undecided is not reported.
 
@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import lapack
 
-from .linalg import DEFAULT_TOL, _lapack, _near_threshold, _rank_rule, _svd_decision
+from .linalg import DEFAULT_TOL, _lapack, _rank_rule, _svd_decision
 from .pencil import (
     Pencil,
     RotationError,
@@ -118,9 +118,9 @@ def _right_minimal_indices(blocks) -> tuple:
 def _svd_kernel(B, mw, nw, tol, floor):
     """Kernel basis of the window ``M = B[:mw, :nw]``, its rank from a full
     SVD at the package rule, and whether that decision was a close call
-    (:func:`_near_threshold`)."""
-    _, s, V, rank, thr = _svd_decision(B[:mw, :nw], tol, floor)
-    return V[:, rank:], rank, _near_threshold(s, thr)
+    (:func:`~strongmin.linalg._rank_rule`)."""
+    _, _, V, rank, _, close = _svd_decision(B[:mw, :nw], tol, floor)
+    return V[:, rank:], rank, close
 
 
 def _qr_kernel(B, mw, nw, tol, floor):
@@ -199,22 +199,7 @@ def _staircase_floor(P: Pencil, tol: float) -> float:
     return tol * max(P.shape) * P.coefficient_scale()
 
 
-def _no_check(mw, rB, nu, s_rank, close):
-    """A staircase step check that accepts every step."""
-
-
-def _noting_close(check, notes):
-    """``check``, also appending to ``notes`` whether each step made a
-    close rank decision."""
-
-    def noted(mw, rB, nu, s_rank, close):
-        check(mw, rB, nu, s_rank, close)
-        notes.append(close)
-
-    return noted
-
-
-def _staircase(P: Pencil, tol: float, check, kernel=_svd_kernel, floor=None):
+def _staircase(P: Pencil, tol: float, check=None, kernel=_svd_kernel, floor=None):
     """The staircase loop shared by both deflations.
 
     Each step compresses the columns of the window's ``L1``, then the rows
@@ -222,11 +207,10 @@ def _staircase(P: Pencil, tol: float, check, kernel=_svd_kernel, floor=None):
     window shrinks to what is left.  Columns left without rows form a last
     step ``(nw, 0)`` of ``L_0`` blocks.  Thresholds are floored at
     ``floor``, by default the scale of the whole pencil
-    (:func:`_staircase_floor`).  ``check(mw, rB, nu, s_rank, close)``
-    (window rows, rank of ``L1``, kernel width, rank of ``L0`` on the
-    kernel, and whether a singular value of either decision was within a
-    factor 10 of its threshold, :func:`_near_threshold`) raises
-    :class:`StaircaseError` on a step the caller's problem rules out.
+    (:func:`_staircase_floor`).  ``check(mw, rB, nu, s_rank)``, when
+    given (window rows, rank of ``L1``, kernel width and rank of ``L0`` on
+    the kernel), raises :class:`StaircaseError` on a step the caller's
+    problem rules out.
 
     ``kernel(B, mw, nw, tol, floor)`` returns a kernel basis of the window
     ``B[:mw, :nw]`` of the current ``L1``, its rank and whether that was a
@@ -242,8 +226,10 @@ def _staircase(P: Pencil, tol: float, check, kernel=_svd_kernel, floor=None):
     kernel-width (or range-width) basis (:func:`_trailing_reflectors`), so
     a step forms no ``nw x nw`` or ``mw x mw`` unitary and costs
     ``O(N^2)`` beyond its kernel.
-    Returns ``(U, W, U P W^H, blocks, mw, nw)``, ``blocks`` holding the
-    ``(nu, s_rank)`` of each step and ``(mw, nw)`` the final window.
+    Returns ``(U, W, U P W^H, blocks, mw, nw, close)``, ``blocks`` holding
+    the ``(nu, s_rank)`` of each step, ``(mw, nw)`` the final window and
+    ``close`` whether a rank decision of a step that peeled a block was a
+    close call (:func:`~strongmin.linalg._rank_rule`).
     """
     m, n = P.shape
     A = P.L0.copy()
@@ -254,6 +240,7 @@ def _staircase(P: Pencil, tol: float, check, kernel=_svd_kernel, floor=None):
     Wh_acc = np.eye(n, dtype=A.dtype)
     blocks = []
     mw, nw = m, n
+    close = False
     while nw > 0:
         if mw == 0:  # columns left without rows
             blocks.append((nw, 0))
@@ -268,8 +255,10 @@ def _staircase(P: Pencil, tol: float, check, kernel=_svd_kernel, floor=None):
             _right_apply(X[:, :nw], cols)
         Ak = A[:mw, rB:nw]
         Us, sv, _ = np.linalg.svd(Ak, full_matrices=False)
-        s_rank, thr = _rank_rule(sv, Ak.shape, tol, floor)
-        check(mw, rB, nu, s_rank, close_k or _near_threshold(sv, thr))
+        s_rank, _, close_s = _rank_rule(sv, Ak.shape, tol, floor)
+        if check:
+            check(mw, rB, nu, s_rank)
+        close = close or close_k or close_s
         if s_rank:
             rows = _trailing_reflectors(Us[:, :s_rank])
             for X in (A, B, U_acc):
@@ -277,7 +266,7 @@ def _staircase(P: Pencil, tol: float, check, kernel=_svd_kernel, floor=None):
         blocks.append((nu, s_rank))
         mw -= s_rank
         nw = rB
-    return U_acc, Wh_acc.conj().T, Pencil(A, B), blocks, mw, nw
+    return U_acc, Wh_acc.conj().T, Pencil(A, B), blocks, mw, nw, close
 
 
 # Multiple of ``m * max(m, n) * eps * |L1r|_F`` by which the rounding of a
@@ -345,7 +334,7 @@ def separate_regular_right(
     row rank raises.  The form's ``close`` records whether a rank decision
     of the staircase was a close call.
     """
-    def full_row_rank(mw, rB, nu, s_rank, close):
+    def full_row_rank(mw, rB, nu, s_rank):
         # The rotation gave the leading coefficient full row rank, and every
         # window must keep it.
         if rB < mw:
@@ -360,11 +349,10 @@ def separate_regular_right(
         raise StaircaseError("normal rank deficient rows") from None
     R = mobius_rotate(P, rot)
     kernel = _certified_kernel(R, rot.margin, tol)
-    notes = []
-    U, W, T, blocks, mw, nw = _staircase(R, tol, _noting_close(full_row_rank, notes), kernel)
+    U, W, T, blocks, mw, nw, close = _staircase(R, tol, full_row_rank, kernel)
     if mw != nw:
         raise StaircaseError("inconsistent deflation count")
-    return StaircaseForm(U, W, mobius_rotate(T, rot.inverse()), mw, blocks, any(notes))
+    return StaircaseForm(U, W, mobius_rotate(T, rot.inverse()), mw, blocks, close)
 
 
 def split_infinite(P: Pencil, tol: float = DEFAULT_TOL):
@@ -385,11 +373,11 @@ def split_infinite(P: Pencil, tol: float = DEFAULT_TOL):
     n = P.rows
     if P.cols != n:
         raise StaircaseError("split_infinite expects a square pencil")
-    U, W, transformed, blocks, _, nw = _staircase(P, tol, _regular_step)
+    U, W, transformed, blocks, _, nw, _ = _staircase(P, tol, _regular_step)
     return U, W, transformed, n - nw, _blocks_at_infinity(blocks)
 
 
-def _regular_step(mw, rB, nu, s_rank, close):
+def _regular_step(mw, rB, nu, s_rank):
     """Staircase step check of a regular pencil: every step is square, the
     constant term having full column rank on the leading-coefficient
     kernel."""
@@ -494,20 +482,19 @@ def _regular_part(R: Pencil, r: int, margin: float, tol: float):
     floor = _staircase_floor(R, tol)
     eps = eta = ()
     X = R
-    notes = []
-    check = _noting_close(_no_check, notes)
+    close = close_left = False
     if r < n:
         kernel = _certified_kernel(R, margin, tol) if r == m else _svd_kernel
-        _, _, T, blocks, mw, nw = _staircase(R, tol, check, kernel, floor)
+        _, _, T, blocks, mw, nw, close = _staircase(R, tol, None, kernel, floor)
         eps = _right_minimal_indices(blocks)
         X = Pencil(T.L0[:mw, :nw], T.L1[:mw, :nw])
     if X.rows > X.cols:
         X = X.transpose()
         kernel = _certified_kernel(X, margin, tol) if r == n else _svd_kernel
-        _, _, T, blocks, mw, nw = _staircase(X, tol, check, kernel, floor)
+        _, _, T, blocks, mw, nw, close_left = _staircase(X, tol, None, kernel, floor)
         eta = _right_minimal_indices(blocks)
         X = Pencil(T.L0[:mw, :nw], T.L1[:mw, :nw])
-    return X, eps, eta, any(notes)
+    return X, eps, eta, close or close_left
 
 
 # Multiple of the distance to its farthest partner to which an
@@ -527,39 +514,27 @@ def _eigen_discs(S, T, floor):
     the disc each can move in under a perturbation of ``floor`` in both.
 
     ``w_i = S_ii / T_ii``.  The right and left eigenvectors ``x``, ``y`` of
-    the triangular pencil at ``w_i`` (``x_i = y_i = 1``) come from back
-    substitution on ``S - w_i T``, and the first-order radius is
-    ``floor (1 + |w_i|) |x| |y| / |y^H T x|``, with ``y^H T x = T_ii``.
-    Pivots below ``eps (|S| + |w_i| |T|)`` are raised to it, as LAPACK's
-    ``ztgevc`` does.  An eigenvalue with partners (others whose disc and
-    its own each hold the other's centre) has its radius cut to
-    ``_CLUSTER_SPREAD`` times the distance to its farthest partner, but
-    never below ``floor (1 + |w_i|) / |T_ii|``, the radius of an eigenvalue
-    with orthogonal neighbours.  A radius that overflowed is infinite
-    before the cut.
+    every eigenvalue come from one ``zggev`` call: on a triangular pair its
+    QZ has nothing left to do, and its ``ztgevc`` solves for all of them in
+    one column sweep, raising pivots below ``eps`` times the scale of the
+    pair to that floor.  The first-order radius is ``floor (1 + |w_i|) |x|
+    |y| / |y^H T x|``, whatever the scaling of the vectors.  An eigenvalue
+    with partners (others whose disc and its own each hold the other's
+    centre) has its radius cut to ``_CLUSTER_SPREAD`` times the distance to
+    its farthest partner, but never below ``floor (1 + |w_i|) / |T_ii|``,
+    the radius of an eigenvalue with orthogonal neighbours.  A radius that
+    overflowed is infinite before the cut.
     """
-    k = S.shape[0]
     d = np.diagonal(T)
     w = np.diagonal(S) / d
-    nS, nT = np.linalg.norm(S), np.linalg.norm(T)
-    base = floor * (1 + np.abs(w)) / np.abs(d)
-    radii = base.copy()
+    err = floor * (1 + np.abs(w))
+    base = err / np.abs(d)
+    *_, Y, X, _, info = lapack.zggev(S, T)
+    if info:
+        raise StaircaseError(f"eigenvectors failed (info {info})")
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(k):
-            M = S - w[i] * T
-            pivots = np.diagonal(M).copy()
-            smin = _EPS * (nS + abs(w[i]) * nT)
-            np.fill_diagonal(M, np.where(np.abs(pivots) < smin, smin, pivots))
-            xx = yy = 1.0
-            if i:
-                x = lapack.ztrtrs(M[:i, :i], -M[:i, i : i + 1])[0]
-                xx += np.vdot(x, x).real
-            if i + 1 < k:
-                y = lapack.ztrtrs(
-                    M[i + 1 :, i + 1 :], -M[i : i + 1, i + 1 :].conj().T, trans=2
-                )[0]
-                yy += np.vdot(y, y).real
-            radii[i] *= np.sqrt(xx * yy)
+        yTx = np.abs(np.sum(Y.conj() * (T @ X), axis=0))
+        radii = err * np.linalg.norm(X, axis=0) * np.linalg.norm(Y, axis=0) / yTx
     radii[np.isnan(radii)] = np.inf
     dist = np.abs(w[:, None] - w[None, :])
     partners = dist <= np.minimum.outer(radii, radii)
@@ -702,24 +677,28 @@ def _cluster_reading(S, T, members, z, tol, floor):
         if info:
             return None
         S, T = S[:k, :k], T[:k, :k]
-    notes = []
     try:
-        _, _, _, blocks, _, nw = _staircase(
-            Pencil(T, S - z * T),
-            tol,
-            _noting_close(_regular_step, notes),
-            floor=floor * (1 + abs(z)),
+        _, _, _, blocks, _, nw, close = _staircase(
+            Pencil(T, S - z * T), tol, _regular_step, floor=floor * (1 + abs(z))
         )
         part = _blocks_at_infinity(blocks)
     except StaircaseError:
         return None
-    return None if nw else (part, any(notes))
+    return None if nw else (part, close)
 
 
 # Pairs whose distance is at most this many times the sum of their radii
 # are read together first; a pair within this factor of the disc test's
 # other outcome is a close call.
 _MERGE_RATIO = 10.0
+
+
+def _disc_clusters(w, radii):
+    """The ratio of each pair of eigenvalues ``w``, their distance over the
+    sum of their disc ``radii``, and the components of the pairs of ratio
+    at most ``_MERGE_RATIO``: the clusters read together first."""
+    ratio = np.abs(w[:, None] - w[None, :]) / (radii[:, None] + radii[None, :])
+    return ratio, _components(ratio <= _MERGE_RATIO)
 
 
 def _eigen_structure(X: Pencil, mu_inf, tol: float, floor: float):
@@ -756,10 +735,9 @@ def _eigen_structure(X: Pencil, mu_inf, tol: float, floor: float):
         return [], False
     S, T = _triangular_pair(X)
     w, radii = _eigen_discs(S, T, floor)
-    ratio = np.abs(w[:, None] - w[None, :]) / (radii[:, None] + radii[None, :])
+    ratio, clusters = _disc_clusters(w, radii)
     to_inf = np.full(k, np.inf) if mu_inf is None else np.abs(w - mu_inf) / radii
     lo = 1.0 / _MERGE_RATIO
-    clusters = _components(ratio <= _MERGE_RATIO)
     points, close = [], False
     while clusters:
         C = clusters.pop()
@@ -845,9 +823,8 @@ def _classified_eigenvalues(X: Pencil, tol: float, seed: int) -> np.ndarray:
         return out
     with np.errstate(divide="ignore", invalid="ignore"):
         w, radii = _eigen_discs(S, T, _staircase_floor(F, tol))
-    w, radii = w[finite], radii[finite]
-    ratio = np.abs(w[:, None] - w[None, :]) / (radii[:, None] + radii[None, :])
-    for C in _components(ratio <= _MERGE_RATIO):
+    w = w[finite]
+    for C in _disc_clusters(w, radii[finite])[1]:
         out[finite[C]] = np.mean(w[C])
     return out
 

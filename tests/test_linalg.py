@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from helpers import row_compress
-from strongmin.linalg import DEFAULT_TOL, _svd_decision, as_matrix, col_compress, matrix_rank
+from strongmin.linalg import (
+    DEFAULT_TOL,
+    _rank_rule,
+    _svd_decision,
+    as_matrix,
+    col_compress,
+    matrix_rank,
+)
 from strongmin.pencil import Pencil
 from strongmin.staircase import _pair_eigenvalues, _triangular_pair
 
@@ -10,8 +17,9 @@ EPS = np.finfo(float).eps
 
 
 def rank_revealing(M, tol=DEFAULT_TOL):
-    """The rank-revealing SVD of the staircases, unfloored."""
-    return _svd_decision(M, tol, 0.0)
+    """The rank-revealing SVD of the staircases, unfloored: ``(U, s, V,
+    rank, threshold)``, without the close call."""
+    return _svd_decision(M, tol, 0.0)[:5]
 
 
 def test_rank_revealing_identity():
@@ -32,6 +40,16 @@ def test_rank_revealing_threshold_arithmetic():
     _, s, _, rank, threshold = rank_revealing(np.diag([1.0, 1e-16]), tol=1e-12)
     assert rank == 1
     assert threshold == pytest.approx(2e-12)
+
+
+@pytest.mark.parametrize(
+    "sv, rank, close", [(1e-6 / 10, 1, False), (1e-6, 1, True), (10 * 1e-6, 2, True)]
+)
+def test_rank_rule_close_call_band(sv, rank, close):
+    # At the floor 1e-6 as threshold, a singular value at thr/10 is clear
+    # of it, one at thr or 10 thr a close call; the rank counts the values
+    # above thr either way.
+    assert _rank_rule(np.array([1.0, sv]), (2, 2), 1e-12, 1e-6) == (rank, 1e-6, close)
 
 
 def test_rank_revealing_empty_matrix_errors():

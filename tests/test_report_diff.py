@@ -153,6 +153,31 @@ def test_scale_inputs(monkeypatch):
     assert all(inputs[f"scale/chain_{s}"].d == 8 for s in range(10))
 
 
+def verify_run(verdicts, exit_code=0, detail="max rel deviation 1.0e-15"):
+    lines = (f"{verdicts[0]}  reduction reaches a strongly minimal quadruple  (d 3 -> 2)",
+             f"{verdicts[1]}  transfer function preserved up to constant factors  ({detail})")
+    return {"exit": exit_code, "stdout": "\n".join(lines) + "\n", "stderr": ""}
+
+
+def test_verify_runs_compared_by_their_verdicts():
+    # The measured details may differ; each check's verdict and the exit
+    # code may not.
+    run = verify_run(("PASS", "PASS"))
+    moved = verify_run(("PASS", "PASS"), detail="max rel deviation 3.1e-14")
+    assert report_diff.compare_runs(run, moved, 0.0) == 0.0
+    with pytest.raises(report_diff.Mismatch, match="verdicts"):
+        report_diff.compare_runs(run, verify_run(("PASS", "FAIL")), 0.0)
+    with pytest.raises(report_diff.Mismatch, match="exit code"):
+        report_diff.compare_runs(run, verify_run(("PASS", "PASS"), exit_code=2), 0.0)
+
+
+def test_verify_inputs():
+    # The gallery examples and corpus seeds 0-123.
+    labels = list(report_diff.verify_inputs())
+    gallery = [label.replace("gallery/", "verify/") for label in report_diff.gallery_inputs()]
+    assert labels == gallery + [f"verify/{s}" for s in report_diff.CORPUS_SEEDS]
+
+
 def test_report_written_by_one_run_only_fails():
     a, b = dumps(POINTS)
     b["reports"]["corpus/1|structure|s0"]["stdout"] = ""

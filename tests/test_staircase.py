@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import lapack
 from scipy.optimize import linear_sum_assignment
 
-from helpers import random_unitary, row_compress
+from helpers import eigen_discs_by_back_substitution, random_unitary, row_compress
 from strongmin.linalg import DEFAULT_TOL, _rank_rule, col_compress
 from strongmin.pencil import (
     Pencil,
@@ -16,6 +16,9 @@ from strongmin.staircase import (
     StaircaseError,
     StaircaseForm,
     _classified_eigenvalues,
+    _eigen_discs,
+    _staircase,
+    _triangular_pair,
     infinity_mcmillan_indices,
     kronecker_structure,
     separate_regular_right,
@@ -677,8 +680,8 @@ class TestSplitInfinite:
         real = staircase._staircase
 
         def widths_1_2(P, tol, check):
-            U, W, T, _, mw, nw = real(P, tol, check)
-            return U, W, T, [(1, 1), (2, 2)], mw, nw
+            U, W, T, _, mw, nw, close = real(P, tol, check)
+            return U, W, T, [(1, 1), (2, 2)], mw, nw, close
 
         monkeypatch.setattr(staircase, "_staircase", widths_1_2)
         with pytest.raises(StaircaseError, match="increases"):
@@ -1032,3 +1035,71 @@ class TestCloseCalls:
             and sum(rep.right_minimal) == 10
         )
         assert right or rep.ambiguous
+
+
+def assert_same_discs(S, T, floor=1e-12):
+    """``_eigen_discs`` of the triangular pair ``(S, T)`` agrees with the
+    back substitution of the reference: the same eigenvalues, infinite
+    radii where it has them, and finite radii within 1e-10 relative."""
+    w, radii = _eigen_discs(S, T, floor)
+    w_ref, radii_ref = eigen_discs_by_back_substitution(S, T, floor)
+    np.testing.assert_array_equal(w, w_ref)
+    np.testing.assert_array_equal(np.isinf(radii), np.isinf(radii_ref))
+    finite = np.isfinite(radii_ref)
+    np.testing.assert_allclose(radii[finite], radii_ref[finite], rtol=1e-10, atol=0)
+    return w, radii
+
+
+class TestEigenDiscs:
+    """The discs of one eigenvector call against those of back
+    substitution, one eigenvalue at a time."""
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 24, 74])
+    def test_complex_pairs(self, k):
+        rng = np.random.default_rng(k)
+        L0, L1 = (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)) for _ in "ab")
+        assert_same_discs(*_triangular_pair(Pencil(L0, L1)))
+
+    @pytest.mark.parametrize("k", [20, 41])
+    def test_real_qz_pairs_with_conjugate_eigenvalues(self, k):
+        rng = np.random.default_rng(100 + k)
+        S, T = _triangular_pair(Pencil(rng.standard_normal((k, k)), rng.standard_normal((k, k))))
+        w, _ = assert_same_discs(S, T)
+        assert np.count_nonzero(w.imag > 0) >= 2
+
+    def test_jordan_block_beside_simple_eigenvalues(self):
+        # J_3(2) beside 1, 3 and 5 under an upper triangular coupling: the
+        # pivots of the block at 2 are exactly zero and floored, and its
+        # members, one point, are cut to the radius of orthogonal
+        # neighbours.
+        rng = np.random.default_rng(7)
+        S = np.diag([2.0, 2.0, 2.0, 1.0, 3.0, 5.0]).astype(complex)
+        S[0, 1] = S[1, 2] = 1.0
+        S += np.triu(rng.standard_normal((6, 6)), 3)
+        T = np.eye(6, dtype=complex) + np.triu(rng.standard_normal((6, 6)), 3)
+        floor = 1e-12
+        w, radii = assert_same_discs(S, T, floor)
+        np.testing.assert_array_equal(radii[:3], floor * (1 + np.abs(w[:3])))
+        assert np.all(radii[3:] < 1e-9)
+
+    def test_zero_leading_diagonal_entry(self):
+        # An infinite eigenvalue (T_22 = 0) has an infinite radius, and the
+        # others keep finite ones, under the errstate of
+        # _classified_eigenvalues.
+        rng = np.random.default_rng(3)
+        S, T = (np.triu(rng.standard_normal((5, 5))).astype(complex) for _ in "ab")
+        T[2, 2] = 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            _, radii = assert_same_discs(S, T)
+        assert np.isinf(radii[2]) and np.all(np.isfinite(np.delete(radii, 2)))
+
+
+def test_staircase_close_call_is_the_or_of_its_steps():
+    # L_2 = [[lambda, -d, 0], [0, lambda, -1]]: the first step's row
+    # decision reads 1, the second's reads d against the floor 1e-6.
+    for d, close in ((3e-6, True), (1e-9, False)):
+        P = pencil([[0.0, -d, 0.0], [0.0, 0.0, -1.0]], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        steps = []
+        *_, got = _staircase(P, 1e-12, lambda *step: steps.append(step), floor=1e-6)
+        assert steps[0] == (2, 2, 1, 1) and len(steps) == 2
+        assert got == close

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Structural-equivalence gate for CLI reports across two source trees.
 
-    python3 tools/report_diff.py dump --src TREE OUT.json [--inputs gallery,corpus,planted,descriptor,scale]
+    python3 tools/report_diff.py dump --src TREE OUT.json [--inputs gallery,corpus,planted,descriptor,scale,verify]
     python3 tools/report_diff.py compare A.json B.json [--rel 1e-8]
 
 ``dump`` runs ``strongmin structure`` (with and without ``--no-reduce``)
@@ -15,7 +15,8 @@ planted systems (``bench/workloads.planted_system``) at d = 16, 32, 64 and
 ``E != I`` (``tests/descriptor.descriptor_system``), seeds 0-29.  The
 ``scale`` set instead runs ``strongmin scale --approach 2 --alpha 0.01
 --pow2`` on the gallery examples and on the chain systems of
-``bench/workloads.chain_instance``, seeds 0-9.  The
+``bench/workloads.chain_instance``, seeds 0-9, and the ``verify`` set runs
+``strongmin verify`` on the gallery examples and corpus seeds 0-123.  The
 input generators come from this checkout, and each input file is written
 by this tool's own serializer (:func:`write_input`), not by ``TREE``: the
 schema-1 quadruple format with every ``-0.0`` imaginary part written as
@@ -32,6 +33,8 @@ quadruples are compared by their integer fields and matrix shapes only;
 their entries depend on the basis.  Balancing reports must agree in
 ``converged``, the scaled pencil's shape and exactly in ``d_left``,
 ``d_right`` and ``d_lambda``; ``iterations`` and ``residual`` may differ.
+Invariant batteries must give each check the same verdict, PASS or FAIL;
+the measured details may differ.
 Prints each difference and the largest point drift; exits 1 when any run
 differs.  ``--rel 0`` asserts that no point moved at all.
 """
@@ -60,7 +63,8 @@ COMMANDS = {
     "reduce": ["reduce"],
 }
 SCALE_COMMANDS = {"scale": ["scale", "--approach", "2", "--alpha", "0.01", "--pow2"]}
-INPUT_SETS = ("gallery", "corpus", "planted", "descriptor", "scale")
+VERIFY_COMMANDS = {"verify": ["verify"]}
+INPUT_SETS = ("gallery", "corpus", "planted", "descriptor", "scale", "verify")
 
 
 # --------------------------------------------------------------------- dump
@@ -126,6 +130,14 @@ def scale_inputs():
     return out
 
 
+def verify_inputs():
+    """The gallery examples and the exact corpus."""
+    return {
+        "verify/" + label.split("/", 1)[1]: q
+        for label, q in {**gallery_inputs(), **corpus_inputs()}.items()
+    }
+
+
 _BLOCKS = (("A0", "A", "L0"), ("A1", "A", "L1"), ("B0", "B", "L0"), ("B1", "B", "L1"),
            ("C0", "C", "L0"), ("C1", "C", "L1"), ("D0", "D", "L0"), ("D1", "D", "L1"))
 
@@ -162,6 +174,7 @@ def dump(src, out_path, input_sets) -> int:
         "planted": (planted_inputs, COMMANDS),
         "descriptor": (descriptor_inputs, COMMANDS),
         "scale": (scale_inputs, SCALE_COMMANDS),
+        "verify": (verify_inputs, VERIFY_COMMANDS),
     }
     reports = {}
     with tempfile.TemporaryDirectory(prefix="report_diff_") as workdir:
@@ -278,6 +291,12 @@ def _compare_scaled(a, b):
     return 0.0
 
 
+def _verdicts(text):
+    """``PASS`` or ``FAIL`` and the name of each check of a ``strongmin
+    verify`` run, without its measured details."""
+    return [line.split("  (", 1)[0] for line in text.splitlines()]
+
+
 def compare_runs(a, b, rel):
     """Largest point drift between two runs of one query; raises
     :class:`Mismatch` when they differ in structure."""
@@ -288,6 +307,10 @@ def compare_runs(a, b, rel):
     if not a["stdout"] or not b["stdout"]:
         if a["stdout"] or b["stdout"]:
             raise Mismatch("only one run wrote a report")
+        return 0.0
+    if a["stdout"].startswith(("PASS", "FAIL")):
+        if _verdicts(a["stdout"]) != _verdicts(b["stdout"]):
+            raise Mismatch(f"verdicts {_verdicts(a['stdout'])} != {_verdicts(b['stdout'])}")
         return 0.0
     da, db = json.loads(a["stdout"]), json.loads(b["stdout"])
     if "structure" in da or "structure" in db:
