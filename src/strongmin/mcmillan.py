@@ -174,7 +174,7 @@ def rational_structure(
 
     return McMillanStructure(
         normal_rank=normal_rank,
-        finite_points={k: v for k, v in finite.items()},
+        finite_points=finite,
         infinity_indices=infinity,
         right_minimal=rep_S.right_minimal,
         left_minimal=rep_S.left_minimal,

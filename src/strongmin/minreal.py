@@ -10,14 +10,16 @@ eigenvalues are classified once
 (:func:`~strongmin.staircase._classified_eigenvalues`), and a close rank
 decision of its staircase makes the minimality report ambiguous.  The
 reduction deflates the offending eigenvalues with unitary transformations
-only, changing the transfer function by constant invertible factors.
+only, changing the transfer function by constant invertible factors.  A
+pass takes one unitary, whose first columns are the staircase's own
+regular-part columns (Van Dooren, IEEE TAC 26, 1981), and decides its ranks
+at the package rule (:func:`~strongmin.linalg.col_compress`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
 from .linalg import DEFAULT_TOL, col_compress
 from .pencil import (
@@ -201,50 +203,30 @@ def _deflate(q: SystemQuadruple, side: str, sf: StaircaseForm, tol: float, seed:
         none = np.zeros(0, dtype=complex)
         return q, ReductionRecord(np.eye(n, dtype=sf.W.dtype), 0, "controllable", none)
 
-    # Rows 0:r of the staircase column transformation, split over the
-    # A-columns and the B-columns.
-    W_top = sf.W[:r, :]
-    W_ab = W_top[:, :d]
-    W13 = W_top[:, d:]
-    V, rv = col_compress(W_ab, tol)
-    if rv != r:
+    # The pass's unitary Z: its first r columns are the regular-part columns
+    # W[:r]^H; V compresses their state rows, its last d - r columns complete
+    # the states, and the kernel [N1; N2] of [W[:r, :d] V[:, :r], W[:r, d:]]
+    # gives the n input columns [V[:, :r] N1; N2], so that W33 = N2.
+    W_top = sf.W[:r]
+    V, rv = col_compress(W_top[:, :d], tol)
+    N, rn = col_compress(np.hstack([W_top[:, :d] @ V[:, :r], W_top[:, d:]]), tol)
+    if (rv, rn) != (r, r):
         raise ReductionError(
-            f"inconsistent deflation count: compressed rank {rv}, expected {r}"
+            f"inconsistent deflation count: ranks {rv} and {rn}, expected {r}"
         )
+    W33 = N[r:, r:]
+    Z = np.zeros((d + n, d + n), dtype=sf.W.dtype)
+    Z[:, :r] = W_top.conj().T
+    Z[:d, r:d] = V[:, r:]
+    Z[:d, d:] = V[:, :r] @ N[:r, r:]
+    Z[d:, d:] = W33
 
-    # [What11 | W13] has orthonormal rows, so its conjugate transpose and an
-    # orthonormal basis of its null space assemble the structured unitary
-    # eliminating W13.
-    What11 = (W_ab @ V)[:, :r]
-    Mrow = np.hstack([What11, W13])
-    Ncomp = scipy.linalg.null_space(Mrow)
-    if Ncomp.shape[1] != n:
-        raise ReductionError("inconsistent deflation count: null space defect")
-    Wsmall = np.hstack([Mrow.conj().T, Ncomp])
-
-    dc = d - r
-    size = d + n
-    W_tilde = np.zeros((size, size), dtype=Wsmall.dtype)
-    W_tilde[:r, :r] = Wsmall[:r, :r]
-    W_tilde[:r, r + dc :] = Wsmall[:r, r:]
-    W_tilde[r : r + dc, r : r + dc] = np.eye(dc)
-    W_tilde[r + dc :, :r] = Wsmall[r:, :r]
-    W_tilde[r + dc :, r + dc :] = Wsmall[r:, r:]
-    W33 = Wsmall[r:, r:]
-
+    # T = diag(U, I) S Z, whose first r rows vanish beyond column r.
     S = system_pencil(q)
-    UL = np.eye(d + m, dtype=sf.U.dtype)
-    UL[:d, :d] = sf.U
-    VR = np.eye(d + n, dtype=V.dtype)
-    VR[:d, :d] = V
-    T0 = UL @ S.L0 @ VR @ W_tilde
-    T1 = UL @ S.L1 @ VR @ W_tilde
-
-    # Zero pattern check of the deflated first block row.
+    T0, T1 = S.L0 @ Z, S.L1 @ Z
+    T0[:d], T1[:d] = sf.U @ T0[:d], sf.U @ T1[:d]
     scale = max(np.linalg.norm(T0), np.linalg.norm(T1), 1e-300)
-    leak = max(
-        np.linalg.norm(T0[:r, r:]), np.linalg.norm(T1[:r, r:])
-    )
+    leak = max(np.linalg.norm(T0[:r, r:]), np.linalg.norm(T1[:r, r:]))
     if leak > 1e4 * tol * max(d + m, d + n) * scale:
         raise ReductionError(
             f"inconsistent deflation count: residual {leak:.2e} in deflated row"

@@ -77,9 +77,6 @@ class Pencil:
         """Frobenius norm of the stacked coefficients, used for tolerances."""
         return float(math.hypot(np.linalg.norm(self.L0), np.linalg.norm(self.L1)))
 
-    def copy(self) -> "Pencil":
-        return Pencil(self.L0.copy(), self.L1.copy())
-
 
 def constant_pencil(M) -> Pencil:
     """Pencil that is identically equal to the constant matrix ``M``, in
@@ -90,7 +87,7 @@ def constant_pencil(M) -> Pencil:
 
 def zero_pencil(rows: int, cols: int) -> Pencil:
     z = np.zeros((rows, cols))
-    return Pencil(z, z.copy())
+    return Pencil(z, z)
 
 
 @dataclass
@@ -303,7 +300,7 @@ def lambda_scale(P: Pencil, d_lambda: float) -> Pencil:
     """
     if not d_lambda > 0:
         raise ValueError("d_lambda must be positive")
-    return Pencil(d_lambda * P.L0, P.L1.copy())
+    return Pencil(d_lambda * P.L0, P.L1)
 
 
 def default_lambda_scale(P: Pencil) -> float:
@@ -367,9 +364,6 @@ class SystemQuadruple:
             self.B.transpose(),
             self.D.transpose(),
         )
-
-    def coefficient_scale(self) -> float:
-        return max(p.coefficient_scale() for p in (self.A, self.B, self.C, self.D))
 
 
 def quadruple_from_constants(A0, A1, B0, B1, C0, C1, D0, D1) -> SystemQuadruple:

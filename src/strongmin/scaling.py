@@ -26,7 +26,13 @@ from typing import Optional
 import numpy as np
 
 from .linalg import _LAPACK
-from .pencil import Pencil
+from .pencil import (
+    Pencil,
+    default_lambda_scale,
+    lambda_scale,
+    split_system_pencil,
+    system_pencil,
+)
 
 
 class ScalingDivergence(RuntimeError):
@@ -389,26 +395,13 @@ def quantize_pow2(result: ScalingResult) -> ScalingResult:
     )
 
 
-def apply_scaling(P: Pencil, result: ScalingResult, post_normalize: bool = False) -> Pencil:
-    """Scale both pencil coefficients two-sidedly by the result's diagonals.
-
-    With ``post_normalize`` the diagonals are first divided by the fourth
-    root of the largest row/column sum of the scaled squared-magnitude
-    matrix, so that all row and column norms of the scaled coefficient pair
-    are bounded by 1.
-    """
+def apply_scaling(P: Pencil, result: ScalingResult) -> Pencil:
+    """Scale both pencil coefficients two-sidedly by the result's diagonals."""
     m, n = P.shape
     dl = np.asarray(result.d_left, dtype=float)
     dr = np.asarray(result.d_right, dtype=float)
     if dl.shape != (m,) or dr.shape != (n,):
         raise ValueError("dimension mismatch between pencil and scalings")
-    if post_normalize:
-        M2 = ((dl**2)[:, None] * build_M(P.L1, P.L0)) * (dr**2)[None, :]
-        peak = max(float(M2.sum(axis=1).max()), float(M2.sum(axis=0).max()))
-        if peak > 0:
-            t = peak**0.25
-            dl = dl / t
-            dr = dr / t
     return Pencil(
         (dl[:, None] * P.L0) * dr[None, :],
         (dl[:, None] * P.L1) * dr[None, :],
@@ -440,8 +433,6 @@ def scaled_quadruple(
     pencil below the noise floor of the rest.  A balancing that stops
     unconverged issues the ``RuntimeWarning`` of :func:`balance_pencil`.
     """
-    from .pencil import split_system_pencil, system_pencil
-
     S = system_pencil(q)
     scaled, result = balance_pencil(
         S, approach=approach, alpha=alpha, pow2=pow2,
@@ -473,8 +464,6 @@ def balance_pencil(
     ``(scaled_pencil, result)``.  Issues a ``RuntimeWarning`` with the
     iteration count and the residual when the balancing stops unconverged.
     """
-    from .pencil import default_lambda_scale, lambda_scale
-
     d_lam = default_lambda_scale(P) if use_lambda_scale else 1.0
     P1 = lambda_scale(P, d_lam)
     if approach == 1:
@@ -493,5 +482,15 @@ def balance_pencil(
     result.d_lambda = d_lam
     if pow2:
         result = quantize_pow2(result)
-    scaled = apply_scaling(P1, result, post_normalize=not pow2)
-    return scaled, result
+        return apply_scaling(P1, result), result
+    # Post-normalization: both diagonals are divided by the fourth root of
+    # the largest row or column sum of D_left^2 M D_right^2, M the matrix the
+    # balancing built, so that every row and column norm is at most 1.
+    m = P.rows
+    M = result.problem.matrix[:m, m:] if result.problem.bordered else result.problem.matrix
+    dl, dr = result.d_left, result.d_right
+    M2 = ((dl**2)[:, None] * M) * (dr**2)[None, :]
+    t = max(float(M2.sum(axis=1).max()), float(M2.sum(axis=0).max())) ** 0.25
+    if t > 0:
+        dl, dr = dl / t, dr / t
+    return apply_scaling(P1, replace(result, d_left=dl, d_right=dr)), result

@@ -228,8 +228,9 @@ def _staircase(P: Pencil, tol: float, check=None, kernel=_svd_kernel, floor=None
     ``O(N^2)`` beyond its kernel.
     Returns ``(U, W, U P W^H, blocks, mw, nw, close)``, ``blocks`` holding
     the ``(nu, s_rank)`` of each step, ``(mw, nw)`` the final window and
-    ``close`` whether a rank decision of a step that peeled a block was a
-    close call (:func:`~strongmin.linalg._rank_rule`).
+    ``close`` whether a rank decision of the loop was a close call
+    (:func:`~strongmin.linalg._rank_rule`), the kernel decision that ends
+    it included.
     """
     m, n = P.shape
     A = P.L0.copy()
@@ -247,6 +248,7 @@ def _staircase(P: Pencil, tol: float, check=None, kernel=_svd_kernel, floor=None
             nw = 0
             break
         K, rB, close_k = kernel(B, mw, nw, tol, floor)
+        close = close or close_k
         nu = nw - rB
         if nu == 0:
             break
@@ -258,7 +260,7 @@ def _staircase(P: Pencil, tol: float, check=None, kernel=_svd_kernel, floor=None
         s_rank, _, close_s = _rank_rule(sv, Ak.shape, tol, floor)
         if check:
             check(mw, rB, nu, s_rank)
-        close = close or close_k or close_s
+        close = close or close_s
         if s_rank:
             rows = _trailing_reflectors(Us[:, :s_rank])
             for X in (A, B, U_acc):
@@ -483,17 +485,16 @@ def _regular_part(R: Pencil, r: int, margin: float, tol: float):
     eps = eta = ()
     X = R
     close = close_left = False
+
+    def peel(P, certified):
+        kernel = _certified_kernel(P, margin, tol) if certified else _svd_kernel
+        _, _, T, blocks, mw, nw, close = _staircase(P, tol, None, kernel, floor)
+        return Pencil(T.L0[:mw, :nw], T.L1[:mw, :nw]), _right_minimal_indices(blocks), close
+
     if r < n:
-        kernel = _certified_kernel(R, margin, tol) if r == m else _svd_kernel
-        _, _, T, blocks, mw, nw, close = _staircase(R, tol, None, kernel, floor)
-        eps = _right_minimal_indices(blocks)
-        X = Pencil(T.L0[:mw, :nw], T.L1[:mw, :nw])
+        X, eps, close = peel(R, r == m)
     if X.rows > X.cols:
-        X = X.transpose()
-        kernel = _certified_kernel(X, margin, tol) if r == n else _svd_kernel
-        _, _, T, blocks, mw, nw, close_left = _staircase(X, tol, None, kernel, floor)
-        eta = _right_minimal_indices(blocks)
-        X = Pencil(T.L0[:mw, :nw], T.L1[:mw, :nw])
+        X, eta, close_left = peel(X.transpose(), r == n)
     return X, eps, eta, close or close_left
 
 

@@ -1,6 +1,10 @@
+from dataclasses import replace
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
+from corpus import exact_instance
 from strongmin.gallery import (
     example_polynomial_system,
     example_rational_system,
@@ -9,6 +13,7 @@ from strongmin.gallery import (
     random_state_space,
 )
 from strongmin.minreal import (
+    ReductionError,
     is_strongly_irreducible,
     is_strongly_minimal,
     reduce_controllable,
@@ -180,6 +185,64 @@ def test_deflation_reuses_the_classified_eigenvalues_of_its_form(monkeypatch, bu
     np.testing.assert_array_equal(rec.deflated_eigenvalues, want)
 
 
+@lru_cache(maxsize=None)
+def corpus_quadruples():
+    """The exact corpus seeds 0-23, inputs of the transfer tests of a
+    reduction pass beside a gallery example."""
+    return tuple(exact_instance(s)[0].to_numeric() for s in range(24))
+
+
+def assert_input_rows_orthonormal(q, side, W33):
+    """The rows of a pass's unitary on the inputs are [W[:r, d:]^H, 0, N2],
+    W the staircase's column transformation and N2 = W33 (controllable) or
+    W33^T (observable): ``W33`` is unitary exactly when the regular part has
+    no input component."""
+    import strongmin.minreal as minreal
+
+    sf = minreal._test_form(q, side, 1e-12, 0)
+    W13 = sf.W[: sf.d_reg, q.d :]
+    N2 = W33 if side == "controllable" else W33.T
+    gram = N2 @ N2.conj().T + W13.conj().T @ W13
+    np.testing.assert_allclose(gram, np.eye(len(N2)), rtol=0, atol=1e-12)
+
+
+class TestReductionChecks:
+    """A pass deflates the regular part of its staircase form, and raises
+    when the form's rows disagree with its count."""
+
+    @staticmethod
+    def form():
+        import strongmin.minreal as minreal
+
+        q = example_polynomial_system(*random_e5_e1(np.random.default_rng(7)))
+        sf = minreal._test_form(q, "controllable", 1e-12, 0)
+        assert sf.d_reg == 4
+        return q, sf
+
+    def test_state_rank_check(self):
+        # Row 0 of the regular-part columns moved into the input
+        # coordinates: the state rows of the first r rows of W lose rank.
+        import strongmin.minreal as minreal
+
+        q, sf = self.form()
+        W = sf.W.copy()
+        W[0, : q.d] = 0.0
+        W[0, q.d] = 1.0
+        match = "inconsistent deflation count: ranks 3 and 4, expected 4"
+        with pytest.raises(ReductionError, match=match):
+            minreal._deflate(q, "controllable", replace(sf, W=W), 1e-12, 0)
+
+    def test_leak_check(self):
+        # One column too many deflated: the first r rows of the transformed
+        # pencil no longer vanish on the remaining columns.
+        import strongmin.minreal as minreal
+
+        q, sf = self.form()
+        sf = replace(sf, d_reg=sf.d_reg + 1)
+        with pytest.raises(ReductionError, match="inconsistent deflation count: residual"):
+            minreal._deflate(q, "controllable", sf, 1e-12, 0)
+
+
 class TestReduceControllable:
     def test_already_controllable_identity(self):
         q = random_state_space(3)
@@ -204,12 +267,13 @@ class TestReduceControllable:
 
     def test_transfer_changed_by_w33_only(self):
         e5, e1 = random_e5_e1(np.random.default_rng(8))
-        q = example_polynomial_system(e5, e1)
-        q_c, rec = reduce_controllable(q)
-        for z in transfer_samples(q):
-            R = transfer_eval(q, z)
-            R_c = transfer_eval(q_c, z)
-            assert np.linalg.norm(R_c - R @ rec.W33) <= 1e-9 * np.linalg.norm(R)
+        for q in (example_polynomial_system(e5, e1), *corpus_quadruples()):
+            q_c, rec = reduce_controllable(q)
+            assert_input_rows_orthonormal(q, "controllable", rec.W33)
+            for z in transfer_samples(q):
+                R = transfer_eval(q, z)
+                R_c = transfer_eval(q_c, z)
+                assert np.linalg.norm(R_c - R @ rec.W33) <= 1e-9 * np.linalg.norm(R)
 
     def test_observability_preserved(self):
         e5, e1 = random_e5_e1(np.random.default_rng(9))
@@ -239,12 +303,13 @@ class TestReduceObservable:
 
     def test_transfer_changed_by_left_w33(self):
         e5, e1 = random_e5_e1(np.random.default_rng(10))
-        q = example_rational_system(e5, e1)
-        q_o, rec = reduce_observable(q)
-        for z in transfer_samples(q):
-            R = transfer_eval(q, z)
-            R_o = transfer_eval(q_o, z)
-            assert np.linalg.norm(R_o - rec.W33 @ R) <= 1e-9 * np.linalg.norm(R)
+        for q in (example_rational_system(e5, e1), *corpus_quadruples()):
+            q_o, rec = reduce_observable(q)
+            assert_input_rows_orthonormal(q, "observable", rec.W33)
+            for z in transfer_samples(q):
+                R = transfer_eval(q, z)
+                R_o = transfer_eval(q_o, z)
+                assert np.linalg.norm(R_o - rec.W33 @ R) <= 1e-9 * np.linalg.norm(R)
 
 
 class TestStronglyMinimalReduce:

@@ -1103,3 +1103,14 @@ def test_staircase_close_call_is_the_or_of_its_steps():
         *_, got = _staircase(P, 1e-12, lambda *step: steps.append(step), floor=1e-6)
         assert steps[0] == (2, 2, 1, 1) and len(steps) == 2
         assert got == close
+
+
+def test_staircase_close_call_of_its_ending_kernel_decision():
+    # L1 = diag(1, d) has full column rank for d above the floor 1e-6, so
+    # the first kernel decision ends the loop with no block peeled; at
+    # d = 3e-6 that decision is a close call all the same.
+    for d, close in ((3e-6, True), (1e-3, False)):
+        P = Pencil(np.eye(2), np.diag([1.0, d]))
+        *_, blocks, mw, nw, got = _staircase(P, 1e-12, floor=1e-6)
+        assert (blocks, mw, nw) == ([], 2, 2)
+        assert got == close

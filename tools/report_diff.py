@@ -14,14 +14,16 @@ planted systems (``bench/workloads.planted_system``) at d = 16, 32, 64 and
 96, instances 100 and 101, unrotated, and descriptor systems with
 ``E != I`` (``tests/descriptor.descriptor_system``), seeds 0-29.  The
 ``scale`` set instead runs ``strongmin scale --approach 2 --alpha 0.01
---pow2`` on the gallery examples and on the chain systems of
-``bench/workloads.chain_instance``, seeds 0-9, and the ``verify`` set runs
-``strongmin verify`` on the gallery examples and corpus seeds 0-123.  The
-input generators come from this checkout, and each input file is written
-by this tool's own serializer (:func:`write_input`), not by ``TREE``: the
-schema-1 quadruple format with every ``-0.0`` imaginary part written as
-``+0.0``, so both trees read byte-identical files however their builders
-signed a zero.  Only the code under test comes from ``TREE``.
+--pow2``, and ``strongmin scale --approach 1`` and ``--approach 2`` without
+``--pow2`` (which post-normalize the scalings), on the gallery examples and
+on the chain systems of ``bench/workloads.chain_instance``, seeds 0-9, and
+the ``verify`` set runs ``strongmin verify`` on the gallery examples and
+corpus seeds 0-123.  The input generators come from this checkout, and
+each input file is written by this tool's own serializer
+(:func:`write_input`), not by ``TREE``: the schema-1 quadruple format with
+every ``-0.0`` imaginary part written as ``+0.0``, so both trees read
+byte-identical files however their builders signed a zero.  Only the code
+under test comes from ``TREE``.
 
 ``compare`` holds two dumps to the same structure.  For every run both
 dumps hold, the exit codes, standard error and every integer, boolean and
@@ -62,7 +64,11 @@ COMMANDS = {
     "structure-no-reduce": ["structure", "--no-reduce"],
     "reduce": ["reduce"],
 }
-SCALE_COMMANDS = {"scale": ["scale", "--approach", "2", "--alpha", "0.01", "--pow2"]}
+SCALE_COMMANDS = {
+    "scale": ["scale", "--approach", "2", "--alpha", "0.01", "--pow2"],
+    "scale-approach1": ["scale", "--approach", "1"],
+    "scale-approach2": ["scale", "--approach", "2"],
+}
 VERIFY_COMMANDS = {"verify": ["verify"]}
 INPUT_SETS = ("gallery", "corpus", "planted", "descriptor", "scale", "verify")
 
